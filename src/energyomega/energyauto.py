@@ -1,9 +1,11 @@
 """Energy automata: reachability and Buchi acceptance.
 
-The algebraic route answers queries through the matrix star and the
-stacked omega vector; the oracle route searches configurations with
-exact energies and maximal-energy pruning, which is sound because all
-edge functions are monotone.
+The algebraic route answers queries through one elimination solve in
+``matrixkleene``: the column M* zeta for reachability, and the omega
+vector restricted to the accepting states for Buchi acceptance.  The
+oracle route searches configurations with exact energies and
+maximal-energy pruning, which is sound because all edge functions are
+monotone.
 """
 
 from __future__ import annotations
@@ -98,14 +100,15 @@ def canonical_permute(aut: EnergyAutomaton) -> Tuple[EnergyAutomaton, tuple]:
 
 def reach_value(aut: EnergyAutomaton) -> EnergyFunction:
     """The single energy function alpha . M* . zeta."""
-    star = mk.mat_star(aut.matrix)
+    alg = aut.matrix.algebra
+    zeta = mk.vector(
+        alg, [alg.one if name in aut.accepting else alg.zero for name in aut.states]
+    )
+    column = mk.mat_star_vec(aut.matrix, zeta)
     acc = energyfn.CONST_BOTTOM
-    for i, src in enumerate(aut.states):
-        if src not in aut.initial:
-            continue
-        for j, dst in enumerate(aut.states):
-            if dst in aut.accepting:
-                acc = energyfn.join(acc, star.rows[i][j])
+    for i, name in enumerate(aut.states):
+        if name in aut.initial:
+            acc = energyfn.join(acc, column.entries[i])
     return acc
 
 
@@ -329,19 +332,14 @@ def from_json(obj: dict) -> EnergyAutomaton:
     for key in ("states", "initial", "accepting", "edges"):
         if key not in obj:
             raise ParseError(f"automaton JSON missing {key!r}")
-    edges: Dict[Tuple[str, str], EnergyFunction] = {}
     if not isinstance(obj["edges"], list):
         raise ParseError("'edges' must be a list")
-    collected: Dict[Tuple[str, str], EnergyFunction] = {}
+    edges: Dict[Tuple[str, str], EnergyFunction] = {}
     for e in obj["edges"]:
         try:
             key = (e["from"], e["to"])
             fn = energyfn.from_json(e["fn"])
         except (TypeError, KeyError) as exc:
             raise ParseError("each edge needs from, to and fn") from exc
-        if key in collected:
-            collected[key] = energyfn.join(collected[key], fn)
-        else:
-            collected[key] = fn
-    edges.update(collected)
+        edges[key] = energyfn.join(edges[key], fn) if key in edges else fn
     return automaton(obj["states"], obj["initial"], obj["accepting"], edges)

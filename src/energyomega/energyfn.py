@@ -84,9 +84,6 @@ class EnergyFunction:
         i = bisect_right(starts, q) - 1
         return finite(self.pieces[i].value_at(q))
 
-    def eval_rational(self, q: RationalLike) -> ExtValue:
-        return self.eval(finite(q))
-
     # -- internal geometry helpers -------------------------------------
 
     def structure_points(self) -> list:
@@ -501,10 +498,6 @@ def star(f: EnergyFunction) -> EnergyFunction:
     return top_from(t, inclusive)
 
 
-def equal(f: EnergyFunction, g: EnergyFunction) -> bool:
-    return f == g
-
-
 # ----------------------------------------------------------------------
 # Local finiteness witness
 
@@ -544,29 +537,25 @@ def local_finiteness_witness(
 # JSON encoding
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def to_json(f: EnergyFunction) -> dict:
     if f.is_const_bottom:
         return {"bottom": {"boundary": "inf"}}
     return {
         "bottom": {
-            "boundary": _frac_str(f.bottom),
+            "boundary": str(f.bottom),
             "bottom_at_boundary": f.bottom_at_boundary,
         },
         "pieces": [
             {
-                "start": _frac_str(p.start),
-                "intercept": _frac_str(p.intercept),
-                "slope": _frac_str(p.slope),
+                "start": str(p.start),
+                "intercept": str(p.intercept),
+                "slope": str(p.slope),
             }
             for p in f.pieces
         ],
         "top": None
         if f.top is None
-        else {"boundary": _frac_str(f.top), "top_at_boundary": f.top_at_boundary},
+        else {"boundary": str(f.top), "top_at_boundary": f.top_at_boundary},
     }
 
 

@@ -7,12 +7,18 @@ ordered as bottom < 0 <= q < top.  All arithmetic is exact.
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 from typing import Union
 
 from .errors import ParseError
 
 RationalLike = Union[int, str, Fraction]
+
+# Fraction("1e999999999") would build a billion-digit integer.
+MAX_LITERAL_CHARS = 256
+MAX_LITERAL_EXPONENT = 256
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 _BOT_RANK = 0
 _FIN_RANK = 1
@@ -77,6 +83,12 @@ def as_fraction(q: RationalLike) -> Fraction:
     if isinstance(q, int):
         return Fraction(q)
     if isinstance(q, str):
+        exp = _EXPONENT.search(q)
+        if len(q) > MAX_LITERAL_CHARS or exp and abs(int(exp[1])) > MAX_LITERAL_EXPONENT:
+            raise ParseError(
+                f"rational literal {q[:32]!r} is over {MAX_LITERAL_CHARS} characters "
+                f"or its exponent over {MAX_LITERAL_EXPONENT}"
+            )
         try:
             return Fraction(q)
         except (ValueError, ZeroDivisionError) as exc:

@@ -1,12 +1,15 @@
 """Generic square matrices over a star algebra and vectors over its semimodule.
 
-The block star formula and the block omega formula are implemented over
-an abstract operation set so that both the energy instance and the
-regular-language instance share the same code.
+``mat_star`` is the block star formula, split at n // 2.  ``mat_star_vec``,
+``mat_omega`` and ``mat_omega_k`` share one elimination solve for the
+greatest solution of v = M v + c.  Both work over an abstract operation
+set, so the energy instance and the regular-language instance share the
+same code.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -43,7 +46,7 @@ ENERGY_ALGEBRA = StarAlgebra(
     zero=energyfn.CONST_BOTTOM,
     one=energyfn.identity(),
     star=energyfn.star,
-    equal=energyfn.equal,
+    equal=operator.eq,
     act=omegaval.act,
     vjoin=omegaval.vjoin,
     vzero=omegaval.NEVER,
@@ -64,9 +67,6 @@ class SquareMatrix:
         n = len(self.rows)
         if n < 1 or any(len(r) != n for r in self.rows):
             raise DimensionMismatch("matrix must be square and nonempty")
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
 
 @dataclass(frozen=True)
@@ -112,18 +112,7 @@ def mat_join(M: SquareMatrix, N: SquareMatrix) -> SquareMatrix:
 
 def mat_mul(M: SquareMatrix, N: SquareMatrix) -> SquareMatrix:
     _check_same(M, N)
-    alg = M.algebra
-    n = M.dim
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = alg.zero
-            for k in range(n):
-                acc = alg.join(acc, alg.mul(M.rows[i][k], N.rows[k][j]))
-            row.append(acc)
-        out.append(row)
-    return matrix(alg, out)
+    return matrix(M.algebra, _mul_rect(M.algebra, M.rows, N.rows))
 
 
 def mat_equal(M: SquareMatrix, N: SquareMatrix) -> bool:
@@ -150,15 +139,13 @@ def _stack(alg: StarAlgebra, a, b, c, d) -> SquareMatrix:
     return matrix(alg, rows)
 
 
-def mat_star(M: SquareMatrix, split: Optional[int] = None) -> SquareMatrix:
-    """Inductive block star; the split point does not affect the result."""
+def mat_star(M: SquareMatrix) -> SquareMatrix:
+    """Inductive block star, splitting the states at n // 2."""
     alg = M.algebra
     n = M.dim
     if n == 1:
         return matrix(alg, [[alg.star(M.rows[0][0])]])
-    k = split if split is not None else n // 2
-    if not 0 < k < n:
-        raise DimensionMismatch(f"split {k} out of range for dimension {n}")
+    k = n // 2
     a = matrix(alg, _block(M, 0, k, 0, k))
     b = _block(M, 0, k, k, n)
     c = _block(M, k, n, 0, k)
@@ -207,59 +194,82 @@ def mat_vec_act(M: SquareMatrix, v: ColumnVector) -> ColumnVector:
     return vector(alg, out)
 
 
-def _rect_vec_act(alg: StarAlgebra, A: Sequence[Sequence[Any]], vs: Sequence[Any]) -> list:
-    out = []
-    for row in A:
-        acc = alg.vzero
-        for s, v in zip(row, vs):
-            acc = alg.vjoin(acc, alg.act(s, v))
-        out.append(acc)
-    return out
+def _solve(M: SquareMatrix, c: Sequence[Any], k: int, act, vjoin, vzero) -> list:
+    """Greatest v with v = M v + c, counting infinite runs only when they
+    repeat one of the first k states.
 
+    ``act``/``vjoin``/``vzero`` act on the vector entries: the semiring's
+    own ``mul``/``join``/``zero`` for M* c, the semimodule's for omega.
+    States are eliminated from n-1 down to 0: with a_pp summing the
+    cycles at p through higher states only,
 
-def vec_join(u: ColumnVector, v: ColumnVector) -> ColumnVector:
-    if u.dim != v.dim:
-        raise DimensionMismatch(f"vectors {u.dim} and {v.dim} differ")
-    alg = u.algebra
-    return vector(alg, [alg.vjoin(a, b) for a, b in zip(u.entries, v.entries)])
+        v_p = a_pp^w + a_pp* (c_p + sum_{j<p} a_pj v_j)
 
-
-def mat_omega(M: SquareMatrix, split: Optional[int] = None) -> ColumnVector:
-    """Block omega: supremum over all infinite runs from each state."""
+    is substituted into the rows above, then back-substituted from 0 up.
+    The a_pp^w term, kept only for p < k, carries the runs whose least
+    infinitely repeated state is p, so exactly the runs repeating one of
+    the first k states count.  Products and joins with a zero are skipped.
+    """
     alg = M.algebra
-    n = M.dim
-    if n == 1:
-        return vector(alg, [alg.omega(M.rows[0][0])])
-    k = split if split is not None else n // 2
-    if not 0 < k < n:
-        raise DimensionMismatch(f"split {k} out of range for dimension {n}")
-    a = matrix(alg, _block(M, 0, k, 0, k))
-    b = _block(M, 0, k, k, n)
-    c = _block(M, k, n, 0, k)
-    d = matrix(alg, _block(M, k, n, k, n))
+    mul, join, zero = alg.mul, alg.join, alg.zero
 
-    d_star = mat_star(d)
-    a_star = mat_star(a)
-    bds = _mul_rect(alg, b, d_star.rows)
-    cas = _mul_rect(alg, c, a_star.rows)
-    f = mat_join(a, matrix(alg, _mul_rect(alg, bds, c)))
-    g = mat_join(d, matrix(alg, _mul_rect(alg, cas, b)))
+    def is_zero(x) -> bool:
+        return x is zero or x == zero
 
-    fsb = _mul_rect(alg, mat_star(f).rows, b)
-    gsc = _mul_rect(alg, mat_star(g).rows, c)
-    top = [
-        alg.vjoin(x, y)
-        for x, y in zip(
-            mat_omega(f).entries, _rect_vec_act(alg, fsb, mat_omega(d).entries)
-        )
-    ]
-    bottom = [
-        alg.vjoin(x, y)
-        for x, y in zip(
-            mat_omega(g).entries, _rect_vec_act(alg, gsc, mat_omega(a).entries)
-        )
-    ]
-    return vector(alg, top + bottom)
+    def is_vzero(x) -> bool:
+        return x is vzero or x == vzero
+
+    def vadd(u, w):
+        return w if is_vzero(u) else vjoin(u, w)
+
+    a = [list(row) for row in M.rows]
+    c = list(c)
+    solved = []  # from state n-1 down: (constant part of v_p, [(j, a_pp* a_pj)])
+    for p in range(M.dim - 1, -1, -1):
+        loop = a[p][p]
+        loop_star = None if is_zero(loop) else alg.star(loop)
+        row = [
+            (j, x if loop_star is None else mul(loop_star, x))
+            for j, x in enumerate(a[p][:p])
+            if not is_zero(x)
+        ]
+        d = c[p]
+        if loop_star is not None:
+            d = d if is_vzero(d) else act(loop_star, d)
+            # omega term first: lasso membership tries components in order,
+            # and a_pp^w is the one that most often holds
+            d = vadd(alg.omega(loop), d) if p < k else d
+        for i in range(p):
+            x = a[i][p]
+            if is_zero(x):
+                continue
+            for j, y in row:
+                xy = mul(x, y)
+                a[i][j] = xy if is_zero(a[i][j]) else join(a[i][j], xy)
+            if not is_vzero(d):
+                c[i] = vadd(c[i], act(x, d))
+        solved.append((d, row))
+
+    v: list = []
+    for d, row in reversed(solved):
+        for j, y in row:
+            if not is_vzero(v[j]):
+                d = vadd(d, act(y, v[j]))
+        v.append(d)
+    return v
+
+
+def mat_star_vec(M: SquareMatrix, c: ColumnVector) -> ColumnVector:
+    """The column M* c, without building M*."""
+    if M.dim != c.dim:
+        raise DimensionMismatch(f"matrix {M.dim} vs vector {c.dim}")
+    alg = M.algebra
+    return vector(alg, _solve(M, c.entries, 0, alg.mul, alg.join, alg.zero))
+
+
+def mat_omega(M: SquareMatrix) -> ColumnVector:
+    """Supremum over all infinite runs from each state."""
+    return mat_omega_k(M, M.dim)
 
 
 def mat_omega_k(M: SquareMatrix, k: int) -> ColumnVector:
@@ -268,17 +278,4 @@ def mat_omega_k(M: SquareMatrix, k: int) -> ColumnVector:
     n = M.dim
     if not 0 <= k <= n:
         raise BadAcceptingCount(f"k={k} out of range for dimension {n}")
-    if k == 0:
-        return vector(alg, [alg.vzero] * n)
-    if k == n:
-        return mat_omega(M)
-    a = matrix(alg, _block(M, 0, k, 0, k))
-    b = _block(M, 0, k, k, n)
-    c = _block(M, k, n, 0, k)
-    d = matrix(alg, _block(M, k, n, k, n))
-    d_star = mat_star(d)
-    f = mat_join(a, matrix(alg, _mul_rect(alg, _mul_rect(alg, b, d_star.rows), c)))
-    top = mat_omega(f)
-    dsc = _mul_rect(alg, d_star.rows, c)
-    bottom = _rect_vec_act(alg, dsc, top.entries)
-    return vector(alg, list(top.entries) + bottom)
+    return vector(alg, _solve(M, [alg.vzero] * n, k, alg.act, alg.vjoin, alg.vzero))

@@ -14,6 +14,7 @@ from energyomega.energyfn import identity
 from energyomega.extlat import BOTTOM, TOP, finite
 from energyomega.omegaval import apply
 
+from blockref import block_omega, block_omega_k, block_star
 from conftest import F, fn_pieces, record_criterion
 from test_energyauto import _energies, _random_automaton
 from test_matrixkleene import path_sup
@@ -106,11 +107,12 @@ def test_criterion_3_matrix_star():
                     for _ in range(n)
                 ],
             )
-            base = mk.mat_star(m, split=1)
-            base_omega = mk.mat_omega(m, split=1)
-            for k in range(2, n):
-                assert mk.mat_equal(base, mk.mat_star(m, split=k))
-                assert base_omega.entries == mk.mat_omega(m, split=k).entries
+            star, omega = mk.mat_star(m), mk.mat_omega(m)
+            for k in range(1, n):
+                assert mk.mat_equal(block_star(m, split=k), star)
+                assert block_omega(m, split=k).entries == omega.entries
+            for k in range(n + 1):
+                assert mk.mat_omega_k(m, k).entries == block_omega_k(m, k).entries
 
 
 @record_criterion(4, "algebraic vs oracle agreement on 300 automata x 10 energies")

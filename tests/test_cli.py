@@ -74,6 +74,13 @@ def test_bad_energy_is_error(capsys):
     assert "error:" in err
 
 
+def test_oversized_energy_literal_is_error(capsys):
+    code, out, err = run(capsys, "eval", PLUS2, "--energy", "1e100000")
+    assert code == 2
+    assert out == ""
+    assert "exponent" in err
+
+
 def test_laws_suite_passes(capsys):
     code, out, _ = run(capsys, "laws", "--instance", "energy", "--seed", "0",
                        "--cases", "5")

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from energyomega import energyauto as ea
-from energyomega import energyfn, laws, matrixkleene as mk
+from energyomega import energyfn, laws, matrixkleene as mk, omegaval
 from energyomega.energyfn import CONST_BOTTOM, identity, shift
 from energyomega.errors import ParseError, VerificationFailed
 from energyomega.extlat import BOTTOM, TOP, finite
 from energyomega.omegaval import NEVER, apply, from_threshold
 
+from blockref import block_omega_k, block_star
 from conftest import F, fn_pieces
 
 
@@ -252,6 +253,52 @@ def test_cross_validation_small_corpus():
         for x in _energies(rng, 3):
             ea.reachable(aut, x, verify=True)
             ea.buchi(aut, x, verify=True)
+
+
+def _sparse_ring(rng, n):
+    """A ring i -> i+1 plus a few chords, mostly shifts by p(j) - p(i) - loss.
+
+    With potentials p, a shift-only cycle gains nothing less its losses,
+    so the values stay away from the all-top degenerate case.
+    """
+    states = [f"r{i}" for i in range(n)]
+    p = [rng.randint(0, 4) for _ in range(n)]
+    edges = {}
+    for i in range(n):
+        targets = {(i + 1) % n}
+        targets.update(rng.randrange(n) for _ in range(rng.randint(0, 2)))
+        for j in targets:
+            if rng.random() < 0.85:
+                loss = Fraction(rng.randint(0, 2), rng.choice((1, 2)))
+                fn = shift(p[j] - p[i] - loss)
+            else:
+                fn = laws.random_energy_function(rng)
+            edges[(states[i], states[j])] = fn
+    initial = rng.sample(states, rng.randint(1, 2))
+    accepting = rng.sample(states, rng.randint(1, 3))
+    return ea.automaton(states, initial, accepting, edges)
+
+
+def test_queries_match_block_reference_large_n():
+    rng = random.Random(45)
+    for n in range(6, 13):
+        for _ in range(2):
+            aut = _sparse_ring(rng, n)
+            star = block_star(aut.matrix)
+            want = CONST_BOTTOM
+            for i, src in enumerate(aut.states):
+                for j, dst in enumerate(aut.states):
+                    if src in aut.initial and dst in aut.accepting:
+                        want = energyfn.join(want, star.rows[i][j])
+            assert ea.reach_value(aut) == want
+
+            permuted, _ = ea.canonical_permute(aut)
+            stacked = block_omega_k(permuted.matrix, len(aut.accepting))
+            want = NEVER
+            for i, name in enumerate(permuted.states):
+                if name in aut.initial:
+                    want = omegaval.vjoin(want, stacked.entries[i])
+            assert ea.buchi_value(aut) == want
 
 
 def test_permutation_invariance():

@@ -9,7 +9,6 @@ from energyomega import energyfn, laws
 from energyomega.energyfn import (
     CONST_BOTTOM,
     compose,
-    equal,
     identity,
     join,
     local_finiteness_witness,
@@ -152,8 +151,8 @@ def test_star_boundary_point():
 
 def test_equal_after_merge():
     two_pieces = validate(0, False, [(0, 1, 1), (3, 4, 1)])
-    assert equal(two_pieces, shift(1))
-    assert not equal(shift(1), shift(2))
+    assert two_pieces == shift(1)
+    assert shift(1) != shift(2)
 
 
 # ----------------------------------------------------------------------
@@ -219,23 +218,23 @@ def test_semiring_laws():
     fns, _ = _corpus(12, 30)
     for i in range(0, 27, 3):
         f, g, h = fns[i], fns[i + 1], fns[i + 2]
-        assert equal(join(f, g), join(g, f))
-        assert equal(join(join(f, g), h), join(f, join(g, h)))
-        assert equal(join(f, f), f)
-        assert equal(join(f, CONST_BOTTOM), f)
-        assert equal(compose(compose(f, g), h), compose(f, compose(g, h)))
-        assert equal(compose(f, identity()), f)
-        assert equal(compose(identity(), f), f)
-        assert equal(compose(f, CONST_BOTTOM), CONST_BOTTOM)
-        assert equal(compose(CONST_BOTTOM, f), CONST_BOTTOM)
-        assert equal(compose(join(f, g), h), join(compose(f, h), compose(g, h)))
-        assert equal(compose(f, join(g, h)), join(compose(f, g), compose(f, h)))
+        assert join(f, g) == join(g, f)
+        assert join(join(f, g), h) == join(f, join(g, h))
+        assert join(f, f) == f
+        assert join(f, CONST_BOTTOM) == f
+        assert compose(compose(f, g), h) == compose(f, compose(g, h))
+        assert compose(f, identity()) == f
+        assert compose(identity(), f) == f
+        assert compose(f, CONST_BOTTOM) == CONST_BOTTOM
+        assert compose(CONST_BOTTOM, f) == CONST_BOTTOM
+        assert compose(join(f, g), h) == join(compose(f, h), compose(g, h))
+        assert compose(f, join(g, h)) == join(compose(f, g), compose(f, h))
 
 
 def test_star_unfolding():
     fns, _ = _corpus(13, 60)
     for f in fns:
-        assert equal(star(f), join(identity(), compose(f, star(f))))
+        assert star(f) == join(identity(), compose(f, star(f)))
 
 
 def test_star_matches_witness():

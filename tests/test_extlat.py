@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from energyomega.errors import ParseError
 from energyomega.extlat import (
     BOTTOM,
     TOP,
     ExtValue,
+    as_fraction,
     ext_cmp,
     ext_join,
     ext_shift,
@@ -55,6 +57,16 @@ def test_total_order_chain():
 def test_negative_finite_rejected():
     with pytest.raises(ValueError):
         finite(Fraction(-1, 2))
+
+
+def test_oversized_literals_rejected():
+    # each would be a big but quick integer; the caps reject them before
+    # Fraction builds it
+    for text in ("1e100000", "1E-300", "7/" + "9" * 300):
+        with pytest.raises(ParseError):
+            as_fraction(text)
+    assert as_fraction("1e256") == Fraction(10) ** 256
+    assert as_fraction("25e-2") == Fraction(1, 4)
 
 
 def _random_values(rng, k):

@@ -1,4 +1,4 @@
-"""Tests for generic block star/omega matrices over the energy algebra."""
+"""Tests for generic matrix star/omega over the energy algebra."""
 
 import random
 from fractions import Fraction
@@ -11,6 +11,7 @@ from energyomega.errors import BadAcceptingCount, DimensionMismatch
 from energyomega.extlat import BOTTOM, TOP, finite
 from energyomega.omegaval import NEVER, apply, from_threshold
 
+from blockref import block_omega, block_omega_k, block_star
 from conftest import F
 
 ALG = mk.ENERGY_ALGEBRA
@@ -135,6 +136,7 @@ def test_dimension_mismatch():
 
 
 def test_split_independence():
+    # the block formulas agree with the elimination solve at every split
     rng = random.Random(33)
     for _ in range(12):
         for n in (3, 4):
@@ -144,12 +146,30 @@ def test_split_independence():
                     for _ in range(n)
                 ]
             )
-            stars = [mk.mat_star(m, split=k) for k in range(1, n)]
-            for other in stars[1:]:
-                assert mk.mat_equal(stars[0], other)
-            omegas = [mk.mat_omega(m, split=k) for k in range(1, n)]
-            for other in omegas[1:]:
-                assert omegas[0].entries == other.entries
+            star, omega = mk.mat_star(m), mk.mat_omega(m)
+            for k in range(1, n):
+                assert mk.mat_equal(block_star(m, split=k), star)
+                assert block_omega(m, split=k).entries == omega.entries
+            for k in range(n + 1):
+                assert mk.mat_omega_k(m, k).entries == block_omega_k(m, k).entries
+
+
+def test_mat_star_vec_is_star_times_vector():
+    rng = random.Random(36)
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        m = _mat(
+            [[laws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
+        )
+        c = [laws.random_energy_function(rng) for _ in range(n)]
+        star = mk.mat_star(m)
+        want = [CONST_BOTTOM] * n
+        for i in range(n):
+            for j in range(n):
+                want[i] = energyfn.join(want[i], energyfn.compose(star.rows[i][j], c[j]))
+        assert mk.mat_star_vec(m, mk.vector(ALG, c)).entries == tuple(want)
+    with pytest.raises(DimensionMismatch):
+        mk.mat_star_vec(mk.mat_identity(ALG, 2), mk.vector(ALG, [identity()]))
 
 
 # ----------------------------------------------------------------------
