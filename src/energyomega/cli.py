@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from typing import Optional
 
 from . import energyauto, energyfn, laws, omegaval, wordmodel
-from .errors import EnergyOmegaError, ParseError, UnknownIdentity
+from .errors import BudgetExceeded, EnergyOmegaError, ParseError, UnknownIdentity
 from .extlat import format_ext, parse_ext
 
 EXIT_YES = 0
@@ -116,58 +117,33 @@ def cmd_laws(args) -> int:
     return EXIT_YES if bad == 0 else EXIT_NO
 
 
-WORD_IDENTITIES = ("conway-star", "product-star", "omega-sum", "omega-product", "group-C2")
-
-
-def _wordcheck_once(name: str, x, y, bound: int):
-    wm = wordmodel
-    if name == "conway-star":
-        lhs = wm.lang_star(wm.lang_union(x, y))
-        rhs = wm.lang_concat(wm.lang_star(wm.lang_concat(wm.lang_star(x), y)), wm.lang_star(x))
-        return wm.lang_equal(lhs, rhs), None
-    if name == "product-star":
-        lhs = wm.lang_star(wm.lang_concat(x, y))
-        rhs = wm.lang_union(
-            wm.lang_epsilon(x.alphabet),
-            wm.lang_concat(wm.lang_concat(x, wm.lang_star(wm.lang_concat(y, x))), y),
-        )
-        return wm.lang_equal(lhs, rhs), None
-    if name == "omega-sum":
-        xsy = wm.lang_concat(wm.lang_star(x), y)
-        lhs = wm.omega_power(wm.lang_union(x, y))
-        rhs = wm.lasso_union(
-            wm.lasso_action(wm.lang_star(xsy), wm.omega_power(x)),
-            wm.omega_power(xsy),
-        )
-        verdict = wm.lasso_equal_bounded(lhs, rhs, bound)
-        return verdict.equal, verdict
-    if name == "omega-product":
-        lhs = wm.omega_power(wm.lang_concat(x, y))
-        rhs = wm.lasso_action(x, wm.omega_power(wm.lang_concat(y, x)))
-        verdict = wm.lasso_equal_bounded(lhs, rhs, bound)
-        return verdict.equal, verdict
-    if name == "group-C2":
-        report = laws.check_group_identity("C2", [x, y], "word", bound=bound)
-        return report.verdict == "Pass", None
-    raise UnknownIdentity(f"unknown identity {name!r}")
+WORD_IDENTITIES = (*laws.IDENTITIES, "group-C2")
 
 
 def cmd_wordcheck(args) -> int:
-    import random
-
     if args.identity not in WORD_IDENTITIES:
         raise UnknownIdentity(
             f"unknown identity {args.identity!r}; choose from {', '.join(WORD_IDENTITIES)}"
         )
+    if not args.alphabet:
+        raise ParseError("alphabet must not be empty")
     rng = random.Random(args.seed)
+    alg = wordmodel.word_algebra(args.alphabet)
     failures = []
     for _ in range(args.cases):
         x = laws.random_regex(rng, args.alphabet, epsilon_free=True)
         y = laws.random_regex(rng, args.alphabet, epsilon_free=True)
-        ok, verdict = _wordcheck_once(args.identity, x, y, args.bound)
-        if not ok:
-            failures.append(str(verdict) if verdict else "language mismatch")
-    bounded = args.identity in ("omega-sum", "omega-product")
+        if args.identity == "group-C2":
+            report = laws.check_group_identity("C2", [x, y], "word", bound=args.bound)
+        else:
+            report = laws.LawReport(args.identity, "word")
+            laws.check_identity(report, args.identity, alg, x, y, args.bound)
+        if report.unknowns:
+            # out of budget: an error, never a counterexample
+            raise BudgetExceeded(report.unknowns[0].sample)
+        if report.failures:
+            failures.append(report.failures[0].sample or "language mismatch")
+    bounded = args.identity in laws.IDENTITIES and laws.IDENTITIES[args.identity].omega
     payload = {
         "command": "wordcheck",
         "identity": args.identity,
@@ -184,6 +160,13 @@ def cmd_wordcheck(args) -> int:
         for f in failures:
             print(f"  counterexample: {f}")
     return EXIT_YES if not failures else EXIT_NO
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laws", help="run the law suite, one JSON report per line")
     p.add_argument("--instance", choices=("energy", "word"), default="energy")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=20)
+    p.add_argument("--cases", type=non_negative_int, default=20)
     add_common(p)
     p.set_defaults(func=cmd_laws)
 
@@ -238,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", default="ab")
     p.add_argument("--bound", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=20)
+    p.add_argument("--cases", type=non_negative_int, default=20)
     add_common(p)
     p.set_defaults(func=cmd_wordcheck)
 
@@ -250,10 +233,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnergyOmegaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (EnergyOmegaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

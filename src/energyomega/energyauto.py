@@ -332,6 +332,9 @@ def from_json(obj: dict) -> EnergyAutomaton:
     for key in ("states", "initial", "accepting", "edges"):
         if key not in obj:
             raise ParseError(f"automaton JSON missing {key!r}")
+    for key in ("states", "initial", "accepting"):
+        if not isinstance(obj[key], list) or not all(isinstance(s, str) for s in obj[key]):
+            raise ParseError(f"{key!r} must be a list of state names")
     if not isinstance(obj["edges"], list):
         raise ParseError("'edges' must be a list")
     edges: Dict[Tuple[str, str], EnergyFunction] = {}
@@ -341,5 +344,7 @@ def from_json(obj: dict) -> EnergyAutomaton:
             fn = energyfn.from_json(e["fn"])
         except (TypeError, KeyError) as exc:
             raise ParseError("each edge needs from, to and fn") from exc
+        if not all(isinstance(s, str) for s in key):
+            raise ParseError("edge endpoints must be state names")
         edges[key] = energyfn.join(edges[key], fn) if key in edges else fn
     return automaton(obj["states"], obj["initial"], obj["accepting"], edges)

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from energyomega import cli, energyauto, energyfn, laws, matrixkleene as mk, omegaval
+from energyomega import cli, energyauto, energyfn, laws, matrixkleene as mk, omegaval, wordmodel
 from energyomega.energyfn import identity
 from energyomega.extlat import BOTTOM, TOP, finite
 from energyomega.omegaval import apply
@@ -142,21 +142,23 @@ def test_criterion_5_axiom_suite():
 @record_criterion(6, "free-model identities: star exactly, omega up to bound 6")
 def test_criterion_6_free_model():
     rng = random.Random(104)
+    alg = wordmodel.word_algebra("ab")
+    report = laws.LawReport("free-model", "word")
     for _ in range(100):
         x = laws.random_regex(rng, "ab", epsilon_free=True)
         y = laws.random_regex(rng, "ab", epsilon_free=True)
-        ok, _ = cli._wordcheck_once("conway-star", x, y, 6)
-        assert ok, (x, y)
-        ok, _ = cli._wordcheck_once("product-star", x, y, 6)
-        assert ok, (x, y)
-        ok, _ = cli._wordcheck_once("group-C2", x, y, 6)
-        assert ok, (x, y)
+        laws.check_identity(report, "conway-star", alg, x, y, 6)
+        assert report.verdict == "Pass", (x, y)
+        laws.check_identity(report, "product-star", alg, x, y, 6)
+        assert report.verdict == "Pass", (x, y)
+        group = laws.check_group_identity("C2", [x, y], "word", bound=6)
+        assert group.verdict == "Pass", (x, y)
     for _ in range(25):
         x = laws.random_regex(rng, "ab", epsilon_free=True)
         y = laws.random_regex(rng, "ab", epsilon_free=True)
         for name in ("omega-sum", "omega-product"):
-            ok, verdict = cli._wordcheck_once(name, x, y, 6)
-            assert ok, (name, x, y, verdict)
+            laws.check_identity(report, name, alg, x, y, 6)
+            assert report.verdict == "Pass", (name, x, y, report.failures)
 
 
 @record_criterion(7, "mutation sensitivity: broken star boundary is caught")

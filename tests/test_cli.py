@@ -114,6 +114,44 @@ def test_wordcheck_unknown_identity(capsys):
     assert "unknown identity" in err
 
 
+def test_wordcheck_empty_alphabet_is_error(capsys):
+    code, out, err = run(capsys, "wordcheck", "--identity", "conway-star", "--alphabet", "")
+    assert code == 2
+    assert out == ""
+    assert "alphabet" in err
+
+
+@pytest.mark.parametrize("command", ["wordcheck --identity conway-star", "laws"])
+def test_negative_cases_is_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command.split() + ["--cases", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err
+
+
+_FN = {"bottom": {"boundary": "inf"}}
+MALFORMED_AUTOMATA = {
+    "list-edge-endpoint": {"states": ["a", "b"], "initial": ["a"], "accepting": ["b"],
+                           "edges": [{"from": ["a"], "to": "b", "fn": _FN}]},
+    "list-state-name": {"states": [["a"], "b"], "initial": ["b"], "accepting": ["b"],
+                        "edges": []},
+    "string-states": {"states": "ab", "initial": ["a"], "accepting": ["b"], "edges": []},
+    "string-initial": {"states": ["a", "b"], "initial": "a", "accepting": ["b"], "edges": []},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_AUTOMATA)
+def test_malformed_automaton_is_error(tmp_path, capsys, name):
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(MALFORMED_AUTOMATA[name]))
+    code, out, err = run(capsys, "reach", str(path), "--energy", "0")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 # ----------------------------------------------------------------------
 # golden outputs (bit-stable JSON)
 
@@ -123,6 +161,10 @@ GOLDEN_RUNS = [
     ("buchi_dec_0.json", ["buchi", DEC, "--energy", "0", "--verify"]),
     ("star_plus2.json", ["star", PLUS2]),
     ("omega_plus2.json", ["omega", PLUS2]),
+    ("laws_word_s0_c4.json", ["laws", "--instance", "word", "--seed", "0", "--cases", "4"]),
+    ("wordcheck_omega_sum_b5.json",
+     ["wordcheck", "--identity", "omega-sum", "--cases", "1", "--bound", "5"]),
+    ("wordcheck_group_c2.json", ["wordcheck", "--identity", "group-C2", "--cases", "1"]),
 ]
 
 

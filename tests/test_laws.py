@@ -1,13 +1,20 @@
 """Tests for the executable law checkers."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from energyomega import energyfn, laws, omegaval
+from energyomega import cli, energyfn, laws, omegaval, wordmodel
 from energyomega.energyfn import CONST_BOTTOM, identity, shift
-from energyomega.errors import InvalidGroupTable, InvalidRegrouping, UnknownIdentity
+from energyomega.errors import (
+    BudgetExceeded,
+    InvalidGroupTable,
+    InvalidRegrouping,
+    UnknownIdentity,
+)
 from energyomega.extlat import BOTTOM, TOP, finite
 from energyomega.omegaval import NEVER, from_threshold
 
@@ -153,6 +160,65 @@ def test_conway_unknown_instance():
         laws.check_conway("matrix")
 
 
+WRONG_SIDES = {
+    "conway-star": lambda A, x, y: (A.star(A.join(x, y)), A.one),
+    "omega-product": lambda A, x, y: (A.omega(A.mul(x, y)), A.vzero),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_SIDES)
+def test_one_table_row_drives_laws_and_wordcheck(monkeypatch, capsys, name):
+    row = laws.IDENTITIES[name]
+    monkeypatch.setitem(laws.IDENTITIES, name, row._replace(sides=WRONG_SIDES[name]))
+
+    energy = laws.check_conway("energy", seed=0, cases=5)
+    assert energy.verdict == "Fail"
+    case = energy.failures[0]
+    assert case.inputs.startswith(f"{row.law}; x=")
+    assert case.lhs != case.rhs and case.sample is None
+
+    word = laws.check_conway("word", seed=0, cases=2, bound=4)
+    assert word.verdict == "Fail"
+    tag = "W" if row.omega else "L"
+    assert {(c.inputs, c.lhs, c.rhs) for c in word.failures} == {(row.law, tag + "1", tag + "2")}
+    for c in word.failures:
+        assert (c.sample or "").startswith("differ on") == row.omega
+
+    code = cli.main(["wordcheck", "--identity", name, "--cases", "2", "--bound", "4",
+                     "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["verdict"] == "Fail"
+    expected = "differ on" if row.omega else "language mismatch"
+    assert doc["failures"] and all(f.startswith(expected) for f in doc["failures"])
+
+
+def test_identity_out_of_budget_is_unknown():
+    rng = random.Random(0)
+    x, y = (laws.random_regex(rng, "ab", epsilon_free=True) for _ in range(2))
+
+    def over_budget(a, b):
+        raise BudgetExceeded("determinization exceeds 64 states")
+
+    alg = dataclasses.replace(wordmodel.word_algebra("ab"), equal=over_budget)
+    report = laws.LawReport("conway", "word")
+    laws.check_identity(report, "conway-star", alg, x, y)
+    assert report.verdict == "Unknown" and report.cases == 1
+    assert report.unknowns[0].sample == "determinization exceeds 64 states"
+
+
+@pytest.mark.parametrize("name", ["conway-star", "group-C2"])
+def test_wordcheck_out_of_budget_is_error(monkeypatch, capsys, name):
+    def over_budget(a, b):
+        raise BudgetExceeded("determinization exceeds 64 states")
+
+    monkeypatch.setattr(wordmodel, "lang_equal", over_budget)
+    code = cli.main(["wordcheck", "--identity", name, "--cases", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: determinization exceeds 64 states\n"
+
+
 # ----------------------------------------------------------------------
 # group identities
 
@@ -183,6 +249,15 @@ def test_group_word_c2():
     elements = [laws.random_regex(rng, "ab", epsilon_free=True) for _ in range(2)]
     report = laws.check_group_identity("C2", elements, instance="word", bound=4)
     assert report.verdict == "Pass", report.failures
+
+
+def test_group_word_out_of_budget_is_unknown():
+    # M_G* for C3 over these regexes needs more than MAX_DFA_STATES to compare
+    rng = random.Random(0)
+    elements = [laws.random_regex(rng, "ab", epsilon_free=True) for _ in range(3)]
+    report = laws.check_group_identity("C3", elements, "word", bound=4)
+    assert report.verdict == "Unknown", report.failures
+    assert report.unknowns[0].sample == "determinization exceeds 64 states"
 
 
 def test_group_table_validation():
