@@ -169,6 +169,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="energyomega",
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wordcheck", help="check a named identity in the word model")
     p.add_argument("--identity", required=True)
     p.add_argument("--alphabet", default="ab")
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=non_negative_int, default=20)
     add_common(p)

@@ -10,6 +10,13 @@ with explicit inclusivity flags at both boundaries.
 Functions are right-continuous at interior breakpoints: the value at a
 breakpoint always belongs to the segment starting there.  This class is
 closed under all operations implemented here.
+
+Compose, join, star, omega and the action on thresholds are one sweep:
+``_cells`` reads a law (``EnergyFunction.at``: bottom, top, or a value
+with a slope) at each candidate abscissa where the result can change and
+inside each gap.  ``_sweep`` builds a function from the readings,
+``_first`` stops at the first one that meets a threshold, and
+``_canonical`` is the normal form of results and validated inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     BudgetExceeded,
@@ -27,13 +35,15 @@ from .errors import (
     ParseError,
     SlopeTooSmall,
 )
-from .extlat import BOTTOM, TOP, ExtValue, RationalLike, as_fraction, ext_join, finite
+from .extlat import (
+    BOTTOM, TOP, ExtValue, RationalLike, as_fraction, ext_join, finite, json_flag,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Law of a function on an open interval: None for bottom, "top" for top,
-# or (c, s) meaning value c + s*(x - lo) where lo is the interval start.
+# Law of a function at a finite point x: None for bottom, "top" for top,
+# or (v, s) meaning value v at x, and v + s*(y - x) just above x.
 _TOP_LAW = "top"
 Law = Union[None, str, tuple]
 
@@ -45,6 +55,9 @@ class Piece(NamedTuple):
 
     def value_at(self, x: Fraction) -> Fraction:
         return self.intercept + self.slope * (x - self.start)
+
+
+_start = attrgetter("start")
 
 
 @dataclass(frozen=True)
@@ -68,21 +81,26 @@ class EnergyFunction:
     def is_const_bottom(self) -> bool:
         return self.bottom is None
 
+    def at(self, q: Fraction) -> Law:
+        """The law at a finite abscissa: None (bottom), "top", or (f(q), slope)."""
+        if self.bottom is None or q < self.bottom or (
+            q == self.bottom and self.bottom_at_boundary
+        ):
+            return None
+        if self.top is not None and (
+            q > self.top or (q == self.top and self.top_at_boundary)
+        ):
+            return _TOP_LAW
+        p = self.pieces[bisect_right(self.pieces, q, key=_start) - 1]
+        return p.value_at(q), p.slope
+
     def eval(self, x: ExtValue) -> ExtValue:
         if x.is_bottom or self.bottom is None:
             return BOTTOM
         if x.is_top:
             return TOP
-        q = x.value
-        if q < self.bottom or (q == self.bottom and self.bottom_at_boundary):
-            return BOTTOM
-        if self.top is not None and (
-            q > self.top or (q == self.top and self.top_at_boundary)
-        ):
-            return TOP
-        starts = [p.start for p in self.pieces]
-        i = bisect_right(starts, q) - 1
-        return finite(self.pieces[i].value_at(q))
+        law = self.at(x.value)
+        return BOTTOM if law is None else TOP if law is _TOP_LAW else finite(law[0])
 
     # -- internal geometry helpers -------------------------------------
 
@@ -90,36 +108,13 @@ class EnergyFunction:
         """Abscissas where the function's law can change."""
         if self.bottom is None:
             return []
-        pts = {self.bottom}
-        pts.update(p.start for p in self.pieces)
-        if self.top is not None:
-            pts.add(self.top)
-        return sorted(pts)
+        pts = {self.bottom, *(p.start for p in self.pieces)}
+        return sorted(pts if self.top is None else pts | {self.top})
 
     def piece_intervals(self) -> list:
         """Each piece with the (exclusive) end of its segment, None for unbounded."""
-        out = []
-        for i, p in enumerate(self.pieces):
-            if i + 1 < len(self.pieces):
-                end: Optional[Fraction] = self.pieces[i + 1].start
-            else:
-                end = self.top
-            out.append((p, end))
-        return out
-
-    def law_at(self, q: Fraction) -> Union[None, str, Piece]:
-        """Classify a finite abscissa: None (bottom), "top", or the piece."""
-        if self.bottom is None:
-            return None
-        if q < self.bottom or (q == self.bottom and self.bottom_at_boundary):
-            return None
-        if self.top is not None and (
-            q > self.top or (q == self.top and self.top_at_boundary)
-        ):
-            return _TOP_LAW
-        starts = [p.start for p in self.pieces]
-        i = bisect_right(starts, q) - 1
-        return self.pieces[i]
+        ends = [p.start for p in self.pieces[1:]] + [self.top]
+        return list(zip(self.pieces, ends))
 
     def __str__(self) -> str:
         if self.bottom is None:
@@ -205,125 +200,126 @@ def validate(
         if limit > ps[i].intercept:
             raise NonMonotone(f"downward jump at {ps[i].start}")
     if t is not None:
-        last = ps[-1]
-        if t < last.start:
+        if t < ps[-1].start:
             raise MalformedPieces("top boundary inside the piece run")
-        if t == last.start:
-            if top_at_boundary:
-                raise MalformedPieces("last piece has an empty segment")
-            # single-point segment; the slope is immaterial there
-            ps[-1] = Piece(last.start, last.intercept, _ONE)
-    merged = [ps[0]]
-    for p in ps[1:]:
-        q = merged[-1]
-        if p.slope == q.slope and q.value_at(p.start) == p.intercept:
-            continue
-        merged.append(p)
-    return EnergyFunction(b, bottom_at_boundary, tuple(merged), t, top_at_boundary)
+        if t == ps[-1].start and top_at_boundary:
+            raise MalformedPieces("last piece has an empty segment")
+    return _canonical(b, bottom_at_boundary, ps, t, top_at_boundary)
 
 
-# ----------------------------------------------------------------------
-# Segment sweep assembly
-
-
-def _assemble(xs: list, point_vals: list, laws: list) -> EnergyFunction:
-    """Build a canonical function from breakpoint values and interval laws.
-
-    ``xs`` is a sorted list of abscissas starting at 0; ``laws[i]`` holds
-    on the open interval (xs[i], xs[i+1]) (unbounded for the last).
-    """
-    n = len(xs)
-    segs = []  # ("pt", i) or ("iv", i), alternating
-    for i in range(n):
-        segs.append(("pt", i))
-        segs.append(("iv", i))
-
-    def seg_class(seg) -> str:
-        kind, i = seg
-        if kind == "pt":
-            v = point_vals[i]
-            return "bot" if v.is_bottom else "top" if v.is_top else "fin"
-        law = laws[i]
-        if law is None:
-            return "bot"
-        if law == _TOP_LAW:
-            return "top"
-        return "fin"
-
-    classes = [seg_class(s) for s in segs]
-
-    fi = 0
-    while fi < len(segs) and classes[fi] == "bot":
-        fi += 1
-    if fi == len(segs):
-        return CONST_BOTTOM
-
-    ti = len(segs)
-    while ti > fi and classes[ti - 1] == "top":
-        ti -= 1
-
-    def boundary(seg, at_interval_flag: bool):
-        kind, i = seg
-        return xs[i], (kind == "iv") == at_interval_flag
-
-    if fi >= ti:
-        # no finite middle: a pure bottom-to-top step
-        kind, i = segs[fi]
-        if kind == "pt":
-            return EnergyFunction(xs[i], False, (), xs[i], True)
-        return EnergyFunction(xs[i], True, (), xs[i], False)
-
-    kind, i = segs[fi]
-    b, b_flag = xs[i], kind == "iv"
-    if ti == len(segs):
-        t, t_flag = None, False
-    else:
-        kind, i = segs[ti]
-        t, t_flag = xs[i], kind == "pt"
-
-    pieces = []
-    k = fi
-    while k < ti:
-        assert classes[k] == "fin", "non-monotone segment structure"
-        kind, i = segs[k]
-        if kind == "iv":
-            c, s = laws[i]
-            pieces.append(Piece(xs[i], c, s))
-            k += 1
-            continue
-        v = point_vals[i].value
-        if k + 1 < ti:
-            c, s = laws[i]
-            assert v == c, "right-continuity violated during assembly"
-            pieces.append(Piece(xs[i], c, s))
-            k += 2
-        else:
-            prev = pieces[-1] if pieces else None
-            if prev is None or prev.value_at(xs[i]) != v:
-                pieces.append(Piece(xs[i], v, _ONE))
-            k += 1
-
-    merged = [pieces[0]]
-    for p in pieces[1:]:
-        q = merged[-1]
-        if p.slope == q.slope and q.value_at(p.start) == p.intercept:
-            continue
-        merged.append(p)
+def _canonical(
+    b: Fraction, b_flag: bool, pieces: list, t: Optional[Fraction], t_flag: bool
+) -> EnergyFunction:
+    """The canonical function with these boundaries and valid pieces: a one-point
+    last segment (start == t) folds into its predecessor when that reaches the
+    same value at t, else takes slope 1; pieces that continue one another merge."""
+    if pieces and pieces[-1].start == t:
+        last = pieces.pop()
+        if not pieces or pieces[-1].value_at(t) != last.intercept:
+            pieces.append(Piece(t, last.intercept, _ONE))
+    merged: list = []
+    for p in pieces:
+        q = merged[-1] if merged else None
+        if q is None or p.slope != q.slope or q.value_at(p.start) != p.intercept:
+            merged.append(p)
     return EnergyFunction(b, b_flag, tuple(merged), t, t_flag)
 
 
-def _sweep_points(cands: Iterable[Fraction]) -> list:
-    pts = {q for q in cands if q >= 0}
-    pts.add(_ZERO)
-    return sorted(pts)
+# ----------------------------------------------------------------------
+# The sweep: one candidate grid read by every operation
 
 
-def _midpoint(lo: Fraction, hi: Optional[Fraction]) -> Fraction:
-    return lo + 1 if hi is None else (lo + hi) / 2
+def _cells(cands: Iterable[Fraction], at) -> Iterator[tuple]:
+    """Walk the grid of candidate abscissas (those >= 0, plus 0) upwards.
+
+    For each grid point lo yield ``(lo, None, at(lo))``, then for the gap
+    after it ``(lo, m, at(m))``, where m is the gap's midpoint (lo + 1
+    past the last point).  Lazy, so a search stops at its first hit.
+    """
+    xs = sorted({q for q in cands if q >= 0} | {_ZERO})
+    for lo, hi in zip(xs, xs[1:] + [None]):
+        yield lo, None, at(lo)
+        m = lo + 1 if hi is None else (lo + hi) / 2
+        yield lo, m, at(m)
 
 
-def _anchored(piece: Piece, lo: Fraction) -> tuple:
-    return (piece.value_at(lo), piece.slope)
+def _sweep(cands: Iterable[Fraction], at) -> EnergyFunction:
+    """The canonical function whose law at each finite q is ``at(q)``.
+
+    The law may change only at a candidate, so reading it at every grid
+    point and once inside every gap determines the function.
+    """
+    b = t = None
+    b_flag = t_flag = False
+    pieces: list = []
+    for lo, m, law in _cells(cands, at):
+        if law is None:
+            assert b is None, "non-monotone segment structure"
+            continue
+        if b is None:
+            b, b_flag = lo, m is not None
+        if law is _TOP_LAW:
+            if t is None:
+                t, t_flag = lo, m is None
+            continue
+        assert t is None, "non-monotone segment structure"
+        c, slope = law
+        if m is not None:
+            c -= slope * (m - lo)
+            if pieces and pieces[-1].start == lo:
+                # the gap after a finite point: the point's value must start it
+                assert pieces.pop().intercept == c, "right-continuity violated at a point"
+        pieces.append(Piece(lo, c, slope))
+    if b is None:
+        return CONST_BOTTOM
+    return _canonical(b, b_flag, pieces, t, t_flag)
+
+
+def _first(cands: Iterable[Fraction], hit) -> Optional[tuple]:
+    """Least (x, inclusive) with ``hit`` true at x (inclusive) or just above it;
+    ``hit`` must hold on an upward-closed set that changes only at candidates."""
+    for lo, m, ok in _cells(cands, hit):
+        if ok:
+            return lo, m is None
+    return None
+
+
+def _preimages(f: EnergyFunction, ys: Sequence[Fraction]) -> list:
+    """Abscissas where a piece of f takes one of the values ``ys``."""
+    out = []
+    for p, end in f.piece_intervals():
+        for y in ys:
+            x = p.start + (y - p.intercept) / p.slope
+            if x >= p.start and (end is None or x <= end):
+                out.append(x)
+    return out
+
+
+def _crossings(f: EnergyFunction, g: EnergyFunction) -> list:
+    """Abscissas where a piece of f crosses a piece of g on their common segment."""
+    # g's pieces as lines s*x + k, each over its segment [start, end]
+    g_lines = [(p.slope, p.intercept - p.slope * p.start, p.start, e)
+               for p, e in g.piece_intervals()]
+    out = []
+    for p, e1 in f.piece_intervals():
+        for s2, k2, start2, e2 in g_lines:
+            if p.slope == s2:
+                continue
+            lo = max(p.start, start2)
+            hi = e1 if e2 is None else e2 if e1 is None else min(e1, e2)
+            if hi is not None and lo > hi:
+                continue
+            x = (k2 - p.intercept + p.slope * p.start) / (p.slope - s2)
+            if x >= lo and (hi is None or x <= hi):
+                out.append(x)
+    return out
+
+
+def _above(law: Law, y: Fraction, strict: bool) -> bool:
+    """Whether the value a law gives at its point is >= y (> when strict)."""
+    if law is None or law is _TOP_LAW:
+        return law is _TOP_LAW
+    return law[0] > y if strict else law[0] >= y
 
 
 # ----------------------------------------------------------------------
@@ -335,37 +331,16 @@ def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
     if f.is_const_bottom or g.is_const_bottom:
         return CONST_BOTTOM
 
-    cands = list(f.structure_points())
-    g_pts = g.structure_points()
-    for piece, end in f.piece_intervals():
-        for y in g_pts:
-            x = piece.start + (y - piece.intercept) / piece.slope
-            if x >= piece.start and (end is None or x <= end):
-                cands.append(x)
-    xs = _sweep_points(cands)
+    def at(q: Fraction) -> Law:
+        lf = f.at(q)
+        if lf is None or lf is _TOP_LAW:
+            return lf
+        lg = g.at(lf[0])
+        if lg is None or lg is _TOP_LAW:
+            return lg
+        return lg[0], lf[1] * lg[1]
 
-    point_vals = [g.eval(f.eval(finite(p))) for p in xs]
-    laws: list = []
-    for i, lo in enumerate(xs):
-        hi = xs[i + 1] if i + 1 < len(xs) else None
-        m = _midpoint(lo, hi)
-        lf = f.law_at(m)
-        if lf is None:
-            laws.append(None)
-            continue
-        if lf == _TOP_LAW:
-            laws.append(_TOP_LAW)
-            continue
-        y_m = lf.value_at(m)
-        lg = g.law_at(y_m)
-        if lg is None:
-            laws.append(None)
-        elif lg == _TOP_LAW:
-            laws.append(_TOP_LAW)
-        else:
-            y_lo = lf.value_at(lo)
-            laws.append((lg.value_at(y_lo), lf.slope * lg.slope))
-    return _assemble(xs, point_vals, laws)
+    return _sweep(f.structure_points() + _preimages(f, g.structure_points()), at)
 
 
 def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
@@ -374,119 +349,43 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         return g
     if g.is_const_bottom:
         return f
+    cands = f.structure_points() + g.structure_points() + _crossings(f, g)
 
-    cands = f.structure_points() + g.structure_points()
-    for p1, e1 in f.piece_intervals():
-        for p2, e2 in g.piece_intervals():
-            lo = max(p1.start, p2.start)
-            if e1 is not None and e2 is not None:
-                hi: Optional[Fraction] = min(e1, e2)
-            else:
-                hi = e1 if e2 is None else e2
-            if hi is not None and lo > hi:
-                continue
-            if p1.slope == p2.slope:
-                continue
-            x = (
-                p2.intercept - p2.slope * p2.start
-                - p1.intercept + p1.slope * p1.start
-            ) / (p1.slope - p2.slope)
-            if x >= lo and (hi is None or x <= hi):
-                cands.append(x)
-    xs = _sweep_points(cands)
+    def at(q: Fraction) -> Law:
+        lf, lg = f.at(q), g.at(q)
+        if lf is _TOP_LAW or lg is _TOP_LAW:
+            return _TOP_LAW
+        if lf is None or lg is None:
+            return lg if lf is None else lf
+        if lf[0] == lg[0]:
+            # unequal slopes mark a crossing, which must be on the grid
+            assert lf[1] == lg[1] or q in cands, "undetected crossing in join"
+            return lf
+        return lf if lf[0] > lg[0] else lg
 
-    point_vals = [ext_join(f.eval(finite(p)), g.eval(finite(p))) for p in xs]
-    laws: list = []
-    for i, lo in enumerate(xs):
-        hi = xs[i + 1] if i + 1 < len(xs) else None
-        m = _midpoint(lo, hi)
-        lf = f.law_at(m)
-        lg = g.law_at(m)
-        if lf == _TOP_LAW or lg == _TOP_LAW:
-            laws.append(_TOP_LAW)
-            continue
-        if lf is None and lg is None:
-            laws.append(None)
-            continue
-        if lf is None:
-            laws.append(_anchored(lg, lo))
-            continue
-        if lg is None:
-            laws.append(_anchored(lf, lo))
-            continue
-        vf = lf.value_at(m)
-        vg = lg.value_at(m)
-        if vf > vg:
-            laws.append(_anchored(lf, lo))
-        elif vg > vf:
-            laws.append(_anchored(lg, lo))
-        else:
-            assert lf.slope == lg.slope, "undetected crossing in join sweep"
-            laws.append(_anchored(lf, lo))
-    return _assemble(xs, point_vals, laws)
+    return _sweep(cands, at)
 
 
 # ----------------------------------------------------------------------
-# Threshold sweeps shared by star, omega and the semimodule action
-
-
-def _first_x_satisfying(f: EnergyFunction, cmp_point, crossing_targets) -> Optional[tuple]:
-    """Least finite x >= 0 with cmp_point(x) true, as (threshold, inclusive).
-
-    The satisfied set must be upward closed within finite abscissas,
-    which holds for comparisons against constants or the identity.
-    ``crossing_targets(piece)`` yields abscissas where the comparison can
-    flip inside the piece.
-    """
-    if f.is_const_bottom:
-        return None
-    cands = list(f.structure_points())
-    for piece, end in f.piece_intervals():
-        for x in crossing_targets(piece):
-            if x >= piece.start and (end is None or x <= end):
-                cands.append(x)
-    xs = _sweep_points(cands)
-    for i, lo in enumerate(xs):
-        if cmp_point(lo):
-            return lo, True
-        hi = xs[i + 1] if i + 1 < len(xs) else None
-        if cmp_point(_midpoint(lo, hi)):
-            return lo, False
-    return None
+# Thresholds shared by star, omega and the semimodule action
 
 
 def threshold_value_reaches(
     f: EnergyFunction, target: Fraction, strict: bool
 ) -> Optional[tuple]:
     """Boundary of {finite x : f(x) >= target} (or > when strict)."""
-    tv = finite(target)
-
-    def cmp_point(q: Fraction) -> bool:
-        v = f.eval(finite(q))
-        return v > tv if strict else v >= tv
-
-    def crossings(piece: Piece):
-        yield piece.start + (target - piece.intercept) / piece.slope
-
-    return _first_x_satisfying(f, cmp_point, crossings)
+    return _first(
+        f.structure_points() + _preimages(f, [target]),
+        lambda q: _above(f.at(q), target, strict),
+    )
 
 
 def threshold_gain_nonneg(f: EnergyFunction, strict: bool) -> Optional[tuple]:
     """Boundary of {finite x : f(x) >= x} (or > when strict)."""
-
-    def cmp_point(q: Fraction) -> bool:
-        v = f.eval(finite(q))
-        if v.is_bottom:
-            return False
-        if v.is_top:
-            return True
-        return v.value > q if strict else v.value >= q
-
-    def crossings(piece: Piece):
-        if piece.slope != 1:
-            yield (piece.slope * piece.start - piece.intercept) / (piece.slope - 1)
-
-    return _first_x_satisfying(f, cmp_point, crossings)
+    return _first(
+        f.structure_points() + _crossings(f, identity()),
+        lambda q: _above(f.at(q), q, strict),
+    )
 
 
 def star(f: EnergyFunction) -> EnergyFunction:
@@ -583,10 +482,10 @@ def from_json(obj: dict) -> EnergyFunction:
         if not isinstance(top_json, dict) or "boundary" not in top_json:
             raise ParseError("'top' must be null or an object with a 'boundary'")
         top_b = top_json["boundary"]
-        top_flag = bool(top_json.get("top_at_boundary", False))
+        top_flag = json_flag(top_json, "top_at_boundary", False)
     return validate(
         bot["boundary"],
-        bool(bot.get("bottom_at_boundary", False)),
+        json_flag(bot, "bottom_at_boundary", False),
         pieces,
         top_b,
         top_flag,

@@ -96,6 +96,14 @@ def as_fraction(q: RationalLike) -> Fraction:
     raise ParseError(f"cannot interpret {q!r} as a rational")
 
 
+def json_flag(obj: dict, key: str, default: bool) -> bool:
+    """Read an optional boolean field of a JSON object; anything else is a ParseError."""
+    flag = obj.get(key, default)
+    if not isinstance(flag, bool):
+        raise ParseError(f"{key!r} must be true or false, got {flag!r}")
+    return flag
+
+
 def finite(q: RationalLike) -> ExtValue:
     frac = as_fraction(q)
     if frac < 0:

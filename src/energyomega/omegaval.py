@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from . import energyfn
 from .energyfn import EnergyFunction
 from .errors import ParseError
-from .extlat import ExtValue, RationalLike, as_fraction
+from .extlat import ExtValue, RationalLike, as_fraction, json_flag
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def from_json(obj: dict) -> ThresholdPredicate:
         return NEVER
     if obj["tag"] == "from":
         try:
-            return from_threshold(obj["threshold"], bool(obj.get("inclusive", True)))
+            return from_threshold(obj["threshold"], json_flag(obj, "inclusive", True))
         except (KeyError, ValueError) as exc:
             raise ParseError("bad 'from' predicate") from exc
     raise ParseError(f"unknown predicate tag {obj['tag']!r}")

@@ -12,6 +12,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 PUMP = str(GOLDEN / "pump.json")
 DEC = str(GOLDEN / "dec.json")
 PLUS2 = str(GOLDEN / "plus2.json")
+# bottom below 1, slopes 3/2 then 2, top from 7 inclusive: its star is top
+# above 3 (exclusive) and its omega value holds from 3 (inclusive)
+MIXED = str(GOLDEN / "mixed.json")
 
 
 def run(capsys, *argv):
@@ -131,6 +134,30 @@ def test_negative_cases_is_error(capsys, command):
     assert "non-negative" in captured.err
 
 
+@pytest.mark.parametrize("identity", cli.WORD_IDENTITIES)
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_wordcheck_non_positive_bound_is_error(capsys, identity, bound):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wordcheck", "--identity", identity, "--cases", "1", "--bound", bound])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 1" in captured.err
+
+
+def test_eval_string_flag_is_error(tmp_path, capsys):
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({
+        "bottom": {"boundary": "0"},
+        "pieces": [{"start": "0", "intercept": "0", "slope": "1"}],
+        "top": {"boundary": "2", "top_at_boundary": "false"},
+    }))
+    code, out, err = run(capsys, "eval", str(path), "--energy", "2")
+    assert code == 2
+    assert out == ""
+    assert "top_at_boundary" in err
+
+
 _FN = {"bottom": {"boundary": "inf"}}
 MALFORMED_AUTOMATA = {
     "list-edge-endpoint": {"states": ["a", "b"], "initial": ["a"], "accepting": ["b"],
@@ -161,6 +188,9 @@ GOLDEN_RUNS = [
     ("buchi_dec_0.json", ["buchi", DEC, "--energy", "0", "--verify"]),
     ("star_plus2.json", ["star", PLUS2]),
     ("omega_plus2.json", ["omega", PLUS2]),
+    ("star_mixed.json", ["star", MIXED]),
+    ("omega_mixed.json", ["omega", MIXED]),
+    ("laws_energy_s0_c8.json", ["laws", "--instance", "energy", "--seed", "0", "--cases", "8"]),
     ("laws_word_s0_c4.json", ["laws", "--instance", "word", "--seed", "0", "--cases", "4"]),
     ("wordcheck_omega_sum_b5.json",
      ["wordcheck", "--identity", "omega-sum", "--cases", "1", "--bound", "5"]),

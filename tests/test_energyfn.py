@@ -73,6 +73,15 @@ def test_validate_step_function():
     assert f.eval(F("9/4")) == TOP
 
 
+def test_validate_folds_one_point_last_piece():
+    # the last piece covers only x = 5, where the slope-2 piece already
+    # reaches 10: it is redundant, and equality must not depend on it
+    f = validate(0, False, [(0, 0, 2), (5, 10, 3)], 5, False)
+    assert f == join(f, f) == compose(identity(), f)
+    assert f == validate(0, False, [(0, 0, 2)], 5, False)
+    assert str(f) == "bot<0 [0: 0+2(x-0)] top>5"
+
+
 # ----------------------------------------------------------------------
 # eval
 
@@ -270,7 +279,12 @@ def test_compose_join_pointwise():
     for i in range(0, len(fns) - 1, 2):
         f, g = fns[i], fns[i + 1]
         c, j = compose(f, g), join(f, g)
-        for x in pts:
+        # random points seldom land on a breakpoint: also read every
+        # structure point and the middle of every gap between them
+        grid = sorted({q for h in (f, g, c, j) for q in h.structure_points()})
+        mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
+        mids += [q + 1 for q in grid[-1:]]
+        for x in pts + [finite(q) for q in grid + mids]:
             assert c.eval(x) == g.eval(f.eval(x))
             assert j.eval(x) == ext_join(f.eval(x), g.eval(x))
 
@@ -288,6 +302,21 @@ def test_json_round_trip():
 def test_json_const_bottom_encoding():
     assert energyfn.to_json(CONST_BOTTOM) == {"bottom": {"boundary": "inf"}}
     assert energyfn.from_json({"bottom": {"boundary": "inf"}}) == CONST_BOTTOM
+
+
+@pytest.mark.parametrize("flag", ["false", 0, 1, None])
+def test_json_rejects_non_boolean_flags(flag):
+    step = {"bottom": {"boundary": "2", "bottom_at_boundary": flag},
+            "top": {"boundary": "2", "top_at_boundary": True}}
+    with pytest.raises(ParseError):
+        energyfn.from_json(step)
+    capped = {"bottom": {"boundary": "0"},
+              "pieces": [{"start": "0", "intercept": "0", "slope": "1"}],
+              "top": {"boundary": "2", "top_at_boundary": flag}}
+    with pytest.raises(ParseError):
+        energyfn.from_json(capped)
+    capped["top"]["top_at_boundary"] = False
+    assert energyfn.from_json(capped).eval(F(2)) == F(2)
 
 
 def test_json_rejects_degenerate():

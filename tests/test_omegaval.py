@@ -130,7 +130,9 @@ def test_act_pointwise_and_laws():
         f, g = fns[i], fns[i + 1]
         v = preds[i]
         w = act(f, v)
-        for x in pts:
+        # random points seldom land on the threshold: read it and just below
+        edge = [] if w.is_never else [w.threshold, w.threshold - Fraction(1, 1024)]
+        for x in pts + [finite(q) for q in edge if q >= 0]:
             assert apply(w, x) == apply(v, f.eval(x))
         assert act(compose(f, g), v) == act(f, act(g, v))
         assert act(identity(), v) == v
@@ -218,3 +220,12 @@ def test_json_rejects_bad_tags():
         omegaval.from_json({"threshold": "3"})
     with pytest.raises(ParseError):
         omegaval.from_json({"tag": "from"})
+
+
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_json_rejects_non_boolean_inclusive(flag):
+    with pytest.raises(ParseError):
+        omegaval.from_json({"tag": "from", "threshold": "3", "inclusive": flag})
+    assert omegaval.from_json({"tag": "from", "threshold": "3", "inclusive": False}) == (
+        from_threshold(3, inclusive=False)
+    )
