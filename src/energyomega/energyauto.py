@@ -3,21 +3,22 @@
 The algebraic route answers queries through one elimination solve in
 ``matrixkleene``: the column M* zeta for reachability, and the omega
 vector restricted to the accepting states for Buchi acceptance.  The
-oracle route searches configurations with exact energies and
-maximal-energy pruning, which is sound because all edge functions are
-monotone.
+oracle route never composes functions: it evaluates edges on exact
+energies and relaxes the best energy per state over all walks
+(Bellman-Ford), which is sound because all edge functions are monotone.
+A state that still improves after n sweeps is promoted to top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import energyfn, matrixkleene as mk, omegaval
 from .energyfn import EnergyFunction
-from .errors import BudgetExceeded, ParseError, VerificationFailed
-from .extlat import BOTTOM, TOP, ExtValue, ext_join, finite
+from .errors import ParseError, VerificationFailed
+from .extlat import BOTTOM, TOP, ExtValue, ext_join, finite, format_ext
 from .omegaval import NEVER, ThresholdPredicate
 
 
@@ -118,9 +119,10 @@ def reachable(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> Query
     witness = None
     if verify:
         oracle = oracle_reach(aut, x0)
-        if oracle.answer != answer:
+        if oracle.value != value:
             raise VerificationFailed(
-                f"reachable: algebraic {answer} vs oracle {oracle.answer}"
+                f"reachable: algebraic value {format_ext(value)} "
+                f"vs oracle value {format_ext(oracle.value)}"
             )
         witness = oracle.witness
     return QueryResult(answer, value, witness)
@@ -152,93 +154,58 @@ def buchi(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResu
 
 
 # ----------------------------------------------------------------------
-# Brute-force oracles
-
-
-def _simple_cycles_at(aut: EnergyAutomaton, base: int) -> List[List[int]]:
-    """Cycles base -> base with no repeated intermediate state."""
-    n = aut.dim
-    rows = aut.matrix.rows
-    cycles: List[List[int]] = []
-
-    def extend(path: List[int], seen: set) -> None:
-        cur = path[-1]
-        for nxt in range(n):
-            if rows[cur][nxt].is_const_bottom:
-                continue
-            if nxt == base:
-                cycles.append(path + [base])
-            elif nxt not in seen and len(path) < n:
-                seen.add(nxt)
-                extend(path + [nxt], seen)
-                seen.discard(nxt)
-
-    extend([base], {base})
-    return cycles
-
-
-def _cycle_function(aut: EnergyAutomaton, cycle: List[int]) -> EnergyFunction:
-    h = energyfn.identity()
-    for s, t in zip(cycle, cycle[1:]):
-        h = energyfn.compose(h, aut.matrix.rows[s][t])
-    return h
+# Relaxation oracles
 
 
 def _stabilize(
-    aut: EnergyAutomaton, energy: Dict[int, ExtValue], max_rounds: int
+    aut: EnergyAutomaton, energy: Dict[int, ExtValue]
 ) -> Tuple[Dict[int, ExtValue], Dict[int, int]]:
-    """Value iteration with maximal-energy pruning and pump promotion.
+    """Best energy per state over all walks from ``energy``, in place.
 
-    Keeps only the best energy per state (sound for monotone edges).  A
-    state with a simple cycle that strictly raises its best energy is
-    promoted to top; afterwards only simple-path propagation remains, so
-    quiescence of a full sweep certifies the fixed point.
+    Bellman-Ford sweeps in phases, seeded by the energies at the start of
+    the phase (n = ``aut.dim``).  After n - 1 sweeps each state holds at
+    least its best energy over simple paths.  Edge slopes are >= 1, so
+    the gain h(x) - x of a walk is nondecreasing in x: a cycle that gains
+    where it is entered can be pumped to top, and one that does not can
+    be cut out without lowering the end energy.  So a state that still
+    improves in sweep n + 1 has supremum top; it is set to top and a new
+    phase starts.  With at most n promotions the loop ends within
+    (n + 1)^2 sweeps, on a sweep that changes nothing: a fixed point
+    above the seeds made of walk values and justified tops, which is the
+    supremum.
     """
     n = aut.dim
     rows = aut.matrix.rows
     pred: Dict[int, int] = {}
-    cycles_cache: Dict[int, List[EnergyFunction]] = {}
-
-    for _ in range(max_rounds):
-        changed = False
-        for src in range(n):
-            if energy[src].is_bottom:
-                continue
-            for dst in range(n):
-                out = rows[src][dst].eval(energy[src])
-                if out > energy[dst]:
-                    if energy[dst].is_bottom and dst not in pred:
-                        pred[dst] = src
-                    energy[dst] = out
-                    changed = True
-        for q in range(n):
-            if not energy[q].is_finite:
-                continue
-            if q not in cycles_cache:
-                cycles_cache[q] = [
-                    _cycle_function(aut, c) for c in _simple_cycles_at(aut, q)
-                ]
-            for h in cycles_cache[q]:
-                v = h.eval(energy[q])
-                if v > energy[q]:
-                    energy[q] = TOP
-                    changed = True
-                    break
-        if not changed:
-            return energy, pred
-    raise BudgetExceeded(f"energies did not stabilize within {max_rounds} rounds")
+    while True:
+        for _ in range(n + 1):
+            improved = set()
+            for src in range(n):
+                if energy[src].is_bottom:
+                    continue
+                for dst in range(n):
+                    out = rows[src][dst].eval(energy[src])
+                    if out > energy[dst]:
+                        if energy[dst].is_bottom and dst not in pred:
+                            pred[dst] = src
+                        energy[dst] = out
+                        improved.add(dst)
+            if not improved:
+                return energy, pred
+        for q in improved:
+            energy[q] = TOP
 
 
 def _max_energies(
-    aut: EnergyAutomaton, x0: ExtValue, max_rounds: int
+    aut: EnergyAutomaton, x0: ExtValue
 ) -> Tuple[Dict[int, ExtValue], Dict[int, int]]:
     energy = {
         i: (x0 if aut.states[i] in aut.initial else BOTTOM) for i in range(aut.dim)
     }
-    return _stabilize(aut, energy, max_rounds)
+    return _stabilize(aut, energy)
 
 
-def _sustained(aut: EnergyAutomaton, s: int, z: ExtValue, max_rounds: int) -> bool:
+def _sustained(aut: EnergyAutomaton, s: int, z: ExtValue) -> bool:
     """Can a run leave state s at energy z and come back no poorer?
 
     Takes one real transition out of s and re-stabilizes, so inner
@@ -250,7 +217,7 @@ def _sustained(aut: EnergyAutomaton, s: int, z: ExtValue, max_rounds: int) -> bo
     energy = {i: BOTTOM for i in range(aut.dim)}
     for dst in range(aut.dim):
         energy[dst] = ext_join(energy[dst], rows[s][dst].eval(z))
-    energy, _ = _stabilize(aut, energy, max_rounds)
+    energy, _ = _stabilize(aut, energy)
     return energy[s] >= z
 
 
@@ -269,10 +236,8 @@ def _witness_path(aut: EnergyAutomaton, pred: Dict[int, int], target: int) -> tu
     return tuple(aut.states[i] for i in reversed(path))
 
 
-def oracle_reach(
-    aut: EnergyAutomaton, x0: ExtValue, max_rounds: int = 200
-) -> QueryResult:
-    energy, pred = _max_energies(aut, x0, max_rounds)
+def oracle_reach(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
+    energy, pred = _max_energies(aut, x0)
     best = BOTTOM
     witness = None
     for i, name in enumerate(aut.states):
@@ -282,9 +247,7 @@ def oracle_reach(
     return QueryResult(not best.is_bottom, best, witness)
 
 
-def oracle_buchi(
-    aut: EnergyAutomaton, x0: ExtValue, max_rounds: int = 200
-) -> QueryResult:
+def oracle_buchi(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
     """Search for a reachable accepting state that can sustain returns.
 
     If the state keeps at least energy z on some return trip then it can
@@ -293,7 +256,7 @@ def oracle_buchi(
     unbounded finite levels and is handled by finite probes, which is
     again exact by upward closure.
     """
-    energy, pred = _max_energies(aut, x0, max_rounds)
+    energy, pred = _max_energies(aut, x0)
     for i, name in enumerate(aut.states):
         if name not in aut.accepting or energy[i].is_bottom:
             continue
@@ -301,7 +264,7 @@ def oracle_buchi(
             probes = [energy[i]]
         else:
             probes = [finite(z) for z in _TOP_PROBES]
-        if any(_sustained(aut, i, z, max_rounds) for z in probes):
+        if any(_sustained(aut, i, z) for z in probes):
             prefix = _witness_path(aut, pred, i)
             return QueryResult(True, energy[i], (prefix, (aut.states[i],)))
     return QueryResult(False, BOTTOM, None)

@@ -77,10 +77,14 @@ TOP = ExtValue(_TOP_RANK, None)
 
 
 def as_fraction(q: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to an exact Fraction."""
+    """Coerce ints, Fractions and "p/q" strings to an exact Fraction.
+
+    A bool is an int to Python but a JSON ``true``/``false`` here, so it
+    is rejected.
+    """
     if isinstance(q, Fraction):
         return q
-    if isinstance(q, int):
+    if isinstance(q, int) and not isinstance(q, bool):
         return Fraction(q)
     if isinstance(q, str):
         exp = _EXPONENT.search(q)

@@ -158,6 +158,19 @@ def test_eval_string_flag_is_error(tmp_path, capsys):
     assert "top_at_boundary" in err
 
 
+def test_eval_boolean_literal_is_error(tmp_path, capsys):
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({
+        "bottom": {"boundary": False},
+        "pieces": [{"start": False, "intercept": True, "slope": True}],
+        "top": None,
+    }))
+    code, out, err = run(capsys, "eval", str(path), "--energy", "3")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 _FN = {"bottom": {"boundary": "inf"}}
 MALFORMED_AUTOMATA = {
     "list-edge-endpoint": {"states": ["a", "b"], "initial": ["a"], "accepting": ["b"],

@@ -225,6 +225,36 @@ def test_oracle_buchi_nested_pump_regression():
     assert ea.buchi(aut, finite(2), verify=True).answer is False
 
 
+def test_promotion_waits_for_sweep_n_plus_one():
+    # sweeps run over sources in index order, so a chain that descends
+    # through the indices advances one edge per sweep and is still
+    # improving its last state in sweep n - 1
+    n = 6
+    states = [f"q{k}" for k in range(n)]
+    edges = {(states[k], states[k - 1]): shift(-1) for k in range(1, n)}
+    aut = ea.automaton(states, [states[-1]], [states[0]], edges)
+    assert ea.oracle_reach(aut, finite(n)).value == finite(1)
+    assert ea.reachable(aut, finite(n), verify=True).value == finite(1)
+    # f(x) = 2x - 4 gains only above its fixed point 4
+    loop = single(loop=fn_pieces(2, [(2, 0, 2)]))
+    for x, want in ((finite(3), finite(3)), (finite(4), finite(4)), (F("9/2"), TOP)):
+        assert ea.oracle_reach(loop, x).value == want
+        assert ea.reachable(loop, x, verify=True).value == want
+
+
+def test_reachable_verify_compares_values(monkeypatch):
+    real = ea.oracle_reach
+
+    def off_by_one(aut, x0):
+        res = real(aut, x0)
+        return ea.QueryResult(res.answer, finite(res.value.value + 1), res.witness)
+
+    monkeypatch.setattr(ea, "oracle_reach", off_by_one)
+    aut = ea.automaton(["a", "b"], ["a"], ["b"], {("a", "b"): shift(-1)})
+    with pytest.raises(VerificationFailed, match="algebraic value 2 vs oracle value 3"):
+        ea.reachable(aut, finite(3), verify=True)
+
+
 # ----------------------------------------------------------------------
 # randomized properties
 
@@ -299,6 +329,17 @@ def test_queries_match_block_reference_large_n():
                 if name in aut.initial:
                     want = omegaval.vjoin(want, stacked.entries[i])
             assert ea.buchi_value(aut) == want
+
+
+def test_verify_on_sparse_rings_at_large_n():
+    # seed 52 gives reach values bot, 0, 5/2 and top and a Buchi
+    # threshold at 5/2 (exclusive) on these energies
+    rng = random.Random(52)
+    for n in (32, 64):
+        aut = _sparse_ring(rng, n)
+        for x in (finite(0), F("5/2"), finite(12)):
+            ea.reachable(aut, x, verify=True)
+            ea.buchi(aut, x, verify=True)
 
 
 def test_permutation_invariance():

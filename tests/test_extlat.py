@@ -69,6 +69,12 @@ def test_oversized_literals_rejected():
     assert as_fraction("25e-2") == Fraction(1, 4)
 
 
+def test_booleans_rejected():
+    for flag in (True, False):
+        with pytest.raises(ParseError):
+            as_fraction(flag)
+
+
 def _random_values(rng, k):
     out = [BOTTOM, TOP]
     while len(out) < k:

@@ -176,56 +176,14 @@ def test_mat_star_vec_is_star_times_vector():
 # independent oracles
 
 
-def _cycle_fns(m, base):
-    """Composed functions of the simple cycles through base."""
-    n = m.dim
-    out = []
-
-    def walk(cur, fn, seen):
-        for t in range(n):
-            edge = m.rows[cur][t]
-            if edge.is_const_bottom:
-                continue
-            comp = energyfn.compose(fn, edge)
-            if t == base:
-                out.append(comp)
-            elif t not in seen:
-                walk(t, comp, seen | {t})
-
-    walk(base, identity(), {base})
-    return out
-
-
-def path_sup(m, i, j, x, rounds=200):
-    """Supremum of path evaluations i -> j.
-
-    Monotone value iteration; a positive-gain simple cycle promotes its
-    base state to top (sound by gain monotonicity), and a stabilized
-    vector is a fixed point above the seed, hence exact.
-    """
-    n = m.dim
-    acc = {k: BOTTOM for k in range(n)}
-    acc[i] = x
-    cycles = {k: _cycle_fns(m, k) for k in range(n)}
-    for _ in range(rounds):
-        for k in range(n):
-            a = acc[k]
-            if a.is_bottom or a.is_top:
-                continue
-            if any(h.eval(a) > a for h in cycles[k]):
-                acc[k] = TOP
-        nxt = dict(acc)
-        for s in range(n):
-            if acc[s].is_bottom:
-                continue
-            for t in range(n):
-                v = m.rows[s][t].eval(acc[s])
-                if v > nxt[t]:
-                    nxt[t] = v
-        if nxt == acc:
-            return acc[j]
-        acc = nxt
-    raise AssertionError(f"path_sup did not stabilize in {rounds} rounds")
+def path_sup(m, i, j, x):
+    """Supremum of path evaluations i -> j: the relaxation oracle's best
+    energy at q_j from q_i, which only evaluates the entries of m."""
+    states = tuple(f"q{k}" for k in range(m.dim))
+    aut = energyauto.EnergyAutomaton(
+        states, frozenset([states[i]]), frozenset([states[j]]), m
+    )
+    return energyauto.oracle_reach(aut, x).value
 
 
 def test_mat_star_against_path_sup():
