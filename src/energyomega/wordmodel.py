@@ -3,9 +3,13 @@
 Regular languages carry epsilon-free nondeterministic automata and form
 an idempotent semiring with star under union, concatenation and Kleene
 star.  Omega behaviour is modelled by finite unions of U . V^omega with
-epsilon not in V; membership of ultimately periodic words is decided by
-a lasso search on a product graph, and omega-language equality is
-checked on all short lassos up to a stated bound.
+epsilon not in V.  Membership of an ultimately periodic word u . v^omega
+is decided from transition profiles: the states S_u a component's Buchi
+automaton reaches on u, and the states good(v) from which the profile
+of v (states reached, and states reached past an accepting state) leads
+to an accepting cycle; the word is in the component iff they meet.
+Omega-language equality is checked on all lassos up to a stated bound,
+with S_u and good(v) tabulated over the prefix and period trees.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .errors import (
 )
 
 MAX_DFA_STATES = 64
+# lassos (prefixes times periods) one bounded equality check may cover
+MAX_LASSOS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -344,109 +350,226 @@ def lasso_union(w1: LassoLang, w2: LassoLang) -> LassoLang:
 
 @functools.lru_cache(maxsize=4096)
 def _buchi_for_pair(u: RegularLang, v: RegularLang):
-    """Buchi automaton for U . V^omega as (transitions, initial, accepting).
+    """Buchi automaton for U . V^omega as bitmasks (n, initial, accepting, post).
 
-    States are ('u', q) inside U and ('v', q, flag) inside V, where flag
-    marks that the letter just read completed a V-word and restarted.
-    Accepting states are exactly the flagged ones: a run is in the
-    language iff infinitely many V-words complete.
+    States 0 .. u.n-1 are U's states; state u.n + 2*q + flag is V's state
+    q, where flag marks that the letter just read completed a V-word and
+    restarted.  Accepting states are exactly the flagged ones: a run is
+    in the language iff infinitely many V-words complete.  ``post[sym][s]``
+    is the mask of successors of s on sym; a letter missing from ``post``
+    has no successors.
     """
-    trans: Dict[Tuple[object, str], Set[object]] = {}
+    n = u.n + 2 * v.n
+    post: Dict[str, List[int]] = {}
 
-    def add(src, sym, dst):
-        trans.setdefault((src, sym), set()).add(dst)
+    def in_v(q: int, flag: int) -> int:
+        return 1 << (u.n + 2 * q + flag)
 
+    enter = restart = 0
+    for i in v.initial:
+        enter |= in_v(i, 0)
+        restart |= in_v(i, 1)
     for s, sym, t in u.transitions:
-        add(("u", s), sym, ("u", t))
+        row = post.setdefault(sym, [0] * n)
+        row[s] |= 1 << t
         if t in u.final:
-            for i in v.initial:
-                add(("u", s), sym, ("v", i, 0))
+            row[s] |= enter
     for s, sym, t in v.transitions:
-        for flag in (0, 1):
-            add(("v", s, flag), sym, ("v", t, 0))
-            if t in v.final:
-                for i in v.initial:
-                    add(("v", s, flag), sym, ("v", i, 1))
-    initial: Set[object] = {("u", q) for q in u.initial}
+        row = post.setdefault(sym, [0] * n)
+        step = in_v(t, 0) | (restart if t in v.final else 0)
+        row[u.n + 2 * s] |= step
+        row[u.n + 2 * s + 1] |= step
+    initial = sum(1 << q for q in u.initial)
     if accepts_epsilon(u):
-        initial |= {("v", i, 0) for i in v.initial}
-    accepting = {("v", q, 1) for q in v.initial}
-    return trans, frozenset(initial), frozenset(accepting)
+        initial |= enter
+    return n, initial, restart, {sym: tuple(row) for sym, row in post.items()}
 
 
-def _pair_member(u_word: str, v_word: str, pair) -> bool:
-    """Does u_word . v_word^omega belong to U . V^omega?
+def _image(row: Sequence[int], mask: int) -> int:
+    """The successors of the states in ``mask`` under one letter's ``row``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
 
-    Runs the pair's Buchi automaton against the ultimately periodic
-    word: product nodes are (position class, state) where position
-    classes wrap modulo the period after the prefix, and acceptance is a
-    reachable flagged node lying on a cycle.
+
+def _identity_profile(n: int) -> Tuple[tuple, tuple]:
+    return tuple(1 << q for q in range(n)), (0,) * n
+
+
+def _extend(profile: Tuple[tuple, tuple], row: Sequence[int], accepting: int):
+    """The profile of v.a from the profile of v and the row of letter a.
+
+    A profile maps each state q to the states reachable from q by reading
+    the word, and to those reachable by a path that passes an accepting
+    state after at least one letter.
     """
-    trans, initial, accepting = _buchi_for_pair(*pair)
-    plen, period = len(u_word), len(v_word)
+    reach, flag = profile
+    reach_a = tuple(_image(row, r) for r in reach)
+    return reach_a, tuple(
+        _image(row, f) | (r & accepting) for f, r in zip(flag, reach_a)
+    )
 
-    def letter(cls: int) -> str:
-        return u_word[cls] if cls < plen else v_word[cls - plen]
 
-    def successors(node):
-        cls, state = node
-        nxt_cls = cls + 1
-        if nxt_cls >= plen + period:
-            nxt_cls = plen
-        for dst in trans.get((state, letter(cls)), ()):
-            yield (nxt_cls, dst)
+def _good(profile: Tuple[tuple, tuple]) -> int:
+    """good(v): the states from which u . v^omega is accepted.
 
-    start = {(0, s) for s in initial}
-    seen = set(start)
-    queue = list(start)
-    while queue:
-        node = queue.pop()
-        for nxt in successors(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    The phase-0 graph of v has an edge q -> q' for every q' the profile
+    reaches from q, flagged when the flag part reaches q' too.  good(v)
+    holds the states that reach, in that graph, a flagged edge lying on
+    a cycle.  A state is then in good(v) iff some run from it on v^omega
+    passes accepting states infinitely often:
 
-    for node in seen:
-        if node[1] not in accepting:
-            continue
-        # nonempty cycle back to the flagged node
-        frontier = set(successors(node))
-        visited = set(frontier)
-        while frontier:
-            cur = frontier.pop()
-            if cur == node:
-                return True
-            for nxt in successors(cur):
-                if nxt not in visited:
-                    visited.add(nxt)
-                    frontier.add(nxt)
-    return False
+    - A product node (position mod |v|, state) can only return to itself
+      after a multiple of |v| letters, so a cycle through an accepting
+      product node cuts at its phase-0 visits into v-paths.  These are
+      edges of a phase-0 cycle, and the one whose letters include the
+      step into the accepting node is flagged (when that node sits at
+      phase 0, it is the edge that ends there, after at least one
+      letter).  The path that reaches the cycle cuts the same way.
+    - Conversely, a flagged edge q1 -> q2 on a phase-0 cycle lifts to a
+      product cycle: the flagged v-path from q1 to q2, then the lifted
+      cycle from q2 back to q1.  It passes an accepting node each time
+      round.
+
+    The positions of a prefix u are never on a product cycle, so
+    u . v^omega is accepted iff good(v) meets S_u, the states reached
+    after reading u.
+    """
+    reach, flag = profile
+    n = len(reach)
+    closure = list(reach)  # states reachable in one or more edges
+    targets = 0
+    for r in reach:
+        targets |= r
+    while targets:  # Warshall, over the states that have an incoming edge
+        low = targets & -targets
+        k_reach = closure[low.bit_length() - 1]
+        targets ^= low
+        for i in range(n):
+            if closure[i] & low:
+                closure[i] |= k_reach
+    core = 0
+    for q in range(n):
+        f = flag[q]
+        while f:
+            low = f & -f
+            if closure[low.bit_length() - 1] >> q & 1:
+                core |= 1 << q
+                break
+            f ^= low
+    good = 0  # a state of core lies on a cycle, so it reaches itself
+    for i in range(n):
+        if closure[i] & core:
+            good |= 1 << i
+    return good
 
 
 def lasso_member(u_word: str, v_word: str, w: LassoLang) -> bool:
+    """Is u_word . v_word^omega in w?
+
+    For each component, with S_u the states its Buchi automaton reaches
+    after reading u_word, the word is in U . V^omega iff S_u meets
+    good(v_word).
+    """
     if not v_word:
         raise ValueError("periodic part must be nonempty")
-    return any(_pair_member(u_word, v_word, pair) for pair in w.pairs)
+    for pair in w.pairs:
+        n, states, accepting, post = _buchi_for_pair(*pair)
+        none = (0,) * n
+        for sym in u_word:
+            states = _image(post.get(sym, none), states)
+        profile = _identity_profile(n)
+        for sym in v_word:
+            profile = _extend(profile, post.get(sym, none), accepting)
+        if states & _good(profile):
+            return True
+    return False
+
+
+def _period_table(buchi, syms: Sequence[str], periods: Sequence[str]) -> List[int]:
+    """For each state q, the periods v with q in good(v), as a bitmask.
+
+    Bit i stands for periods[i].  Profiles are built depth-first over the
+    tree of periods, so only the profiles on the current path are alive.
+    """
+    n, _initial, accepting, post = buchi
+    index = {v: i for i, v in enumerate(periods)}
+    bound = len(periods[-1])
+    none = (0,) * n
+    table = [0] * n
+    stack = [(_identity_profile(n), sym) for sym in reversed(syms)]
+    while stack:
+        parent, v_word = stack.pop()  # the profile of v_word minus its last letter
+        profile = _extend(parent, post.get(v_word[-1], none), accepting)
+        bit = 1 << index[v_word]
+        good = _good(profile)
+        while good:
+            low = good & -good
+            table[low.bit_length() - 1] |= bit
+            good ^= low
+        if len(v_word) < bound:
+            stack.extend((profile, v_word + sym) for sym in reversed(syms))
+    return table
 
 
 def lasso_equal_bounded(w1: LassoLang, w2: LassoLang, bound: int) -> BoundedVerdict:
-    """Compare membership on every lasso word with |u| <= B, 1 <= |v| <= B."""
+    """Compare membership on every lasso word with |u| <= B, 1 <= |v| <= B.
+
+    This is lasso_member's test, S_u meets good(v), on whole tables: each
+    component's S_u by dynamic programming over the prefix tree, and its
+    good(v) as one bitmask over the periods per state.  So one prefix
+    answers for all periods at once, and the first counterexample in the
+    order (|u|, u, |v|, v) is the first prefix whose two sides differ, at
+    their lowest differing period bit.  More than MAX_LASSOS lassos
+    (prefixes times periods) raise BudgetExceeded before any table is
+    built.
+    """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     sigma: Set[str] = set()
     for u, v in tuple(w1.pairs) + tuple(w2.pairs):
         sigma |= u.alphabet
     syms = sorted(sigma) or ["a"]
+    count = 0
+    for length in range(1, bound + 1):
+        count += len(syms) ** length
+        if (count + 1) * count > MAX_LASSOS:
+            raise BudgetExceeded(
+                f"bounded lasso check at bound {bound} over {len(syms)} letters "
+                f"exceeds {MAX_LASSOS} lassos"
+            )
+    periods = [
+        "".join(t) for length in range(1, bound + 1) for t in product(syms, repeat=length)
+    ]
+    comps = list(dict.fromkeys(tuple(w1.pairs) + tuple(w2.pairs)))
+    buchis = [_buchi_for_pair(*pair) for pair in comps]
+    tables = [_period_table(b, syms, periods) for b in buchis]
+    rows = [[post.get(sym, (0,) * n) for sym in syms] for n, _i, _a, post in buchis]
+    sides = [[comps.index(pair) for pair in w.pairs] for w in (w1, w2)]
+
+    def members(side, states) -> int:
+        """The periods v with u . v^omega on this side, as a bitmask."""
+        out = 0
+        for c in side:
+            out |= _image(tables[c], states[c])
+        return out
+
+    level = [("", tuple(b[1] for b in buchis))]  # (u, S_u per component)
     for ulen in range(bound + 1):
-        for utup in product(syms, repeat=ulen):
-            u_word = "".join(utup)
-            for vlen in range(1, bound + 1):
-                for vtup in product(syms, repeat=vlen):
-                    v_word = "".join(vtup)
-                    if lasso_member(u_word, v_word, w1) != lasso_member(
-                        u_word, v_word, w2
-                    ):
-                        return BoundedVerdict(False, bound, (u_word, v_word))
+        if ulen:
+            level = [
+                (u_word + sym, tuple(_image(r[a], s) for r, s in zip(rows, states)))
+                for u_word, states in level
+                for a, sym in enumerate(syms)
+            ]
+        for u_word, states in level:
+            diff = members(sides[0], states) ^ members(sides[1], states)
+            if diff:
+                first = (diff & -diff).bit_length() - 1
+                return BoundedVerdict(False, bound, (u_word, periods[first]))
     return BoundedVerdict(True, bound)
 
 

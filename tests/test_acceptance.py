@@ -144,6 +144,7 @@ def test_criterion_5_axiom_suite():
 @record_criterion(6, "free-model identities: star exactly, omega up to bound 6")
 def test_criterion_6_free_model():
     rng = random.Random(104)
+    start = time.monotonic()
     alg = wordmodel.word_algebra("ab")
     report = laws.LawReport("free-model", "word")
     for _ in range(100):
@@ -161,6 +162,7 @@ def test_criterion_6_free_model():
         for name in ("omega-sum", "omega-product"):
             laws.check_identity(report, name, alg, x, y, 6)
             assert report.verdict == "Pass", (name, x, y, report.failures)
+    assert time.monotonic() - start < 60.0
 
 
 @record_criterion(7, "mutation sensitivity: broken star boundary is caught")

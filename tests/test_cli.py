@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -122,6 +123,15 @@ def test_wordcheck_empty_alphabet_is_error(capsys):
     assert code == 2
     assert out == ""
     assert "alphabet" in err
+
+
+def test_wordcheck_bound_over_lasso_budget_is_error(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "wordcheck", "--identity", "omega-sum", "--bound", "40")
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "lassos" in err
 
 
 @pytest.mark.parametrize("command", ["wordcheck --identity conway-star", "laws"])

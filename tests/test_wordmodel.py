@@ -1,5 +1,6 @@
 """Tests for the regular / lasso word models."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from energyomega.errors import (
     EpsilonInOmegaBase,
     ParseError,
 )
+
+import lassoref
 
 AB = ("a", "b")
 
@@ -184,6 +187,20 @@ def test_empty_lasso_rejects_everything():
     assert not wm.lasso_member("a", "b", wm.EMPTY_LASSO)
 
 
+def test_lasso_budget_checked_before_tables():
+    w = wm.omega_power(rx("a"))
+    # 3 letters at bound 6: 1,093 prefixes x 1,092 periods fit
+    sigma = ("a", "b", "c")
+    w3 = wm.omega_power(wm.parse_regex("a", sigma))
+    assert wm.lasso_equal_bounded(w3, w3, 6).equal
+    # 2 letters at bound 10: 2,047 x 2,046 do not
+    with pytest.raises(BudgetExceeded):
+        wm.lasso_equal_bounded(w, w, 10)
+    one = wm.omega_power(wm.parse_regex("a", ("a",)))
+    with pytest.raises(BudgetExceeded):
+        wm.lasso_equal_bounded(one, one, 10**9)
+
+
 # ----------------------------------------------------------------------
 # randomized
 
@@ -225,6 +242,71 @@ def test_omega_unfolding_bounded():
         unfolded = wm.lasso_action(x, w)
         verdict = wm.lasso_equal_bounded(w, unfolded, 5)
         assert verdict.equal, verdict.counterexample
+
+
+def _random_lasso(rng, sigma):
+    return wm.lasso(
+        [
+            (laws.random_regex(rng, sigma), laws.random_regex(rng, sigma, epsilon_free=True))
+            for _ in range(rng.randint(1, 3))
+        ]
+    )
+
+
+def _over(w, sigma):
+    """The same components read over a larger alphabet."""
+    grow = lambda lang: dataclasses.replace(lang, alphabet=frozenset(sigma))
+    return wm.LassoLang(tuple((grow(u), grow(v)) for u, v in w.pairs))
+
+
+def _lasso_pairs(rng, count):
+    """Seeded (w1, w2, bound) triples, about two thirds of them unequal."""
+    for i in range(count):
+        sigma = rng.choice(("ab", "abc"))
+        kind = i % 6
+        if kind in (0, 1, 2):
+            w1, w2 = _random_lasso(rng, sigma), _random_lasso(rng, sigma)
+        elif kind == 3:
+            w1 = _random_lasso(rng, sigma)
+            w2 = wm.EMPTY_LASSO if rng.random() < 0.8 else w1
+            w1, w2 = (w1, w2) if rng.random() < 0.5 else (w2, w1)
+        elif kind == 4:
+            alg = wm.word_algebra(sigma)
+            x = laws.random_regex(rng, sigma, epsilon_free=True)
+            y = laws.random_regex(rng, sigma, epsilon_free=True)
+            name = rng.choice(("omega-sum", "omega-product"))
+            w1, w2 = laws.IDENTITIES[name].sides(alg, x, y)
+        else:
+            # components over ab against components over abc
+            w1 = _random_lasso(rng, "ab")
+            w2 = _over(w1 if rng.random() < 0.5 else _random_lasso(rng, "ab"), "abc")
+            sigma = "abc"
+        yield w1, w2, rng.randint(1, 5 if sigma == "ab" else 3)
+
+
+def test_lasso_equal_bounded_matches_reference():
+    rng = random.Random(61)
+    unequal = 0
+    for w1, w2, bound in _lasso_pairs(rng, 300):
+        got = wm.lasso_equal_bounded(w1, w2, bound)
+        assert got == lassoref.lasso_equal_bounded(w1, w2, bound), (w1, w2, bound)
+        unequal += not got.equal
+    assert unequal >= 150
+
+
+def test_lasso_member_matches_reference():
+    rng = random.Random(62)
+    hits = 0
+    for _ in range(300):
+        sigma = rng.choice(("ab", "abc"))
+        w = _random_lasso(rng, sigma) if rng.random() < 0.9 else wm.EMPTY_LASSO
+        for _ in range(20):
+            u = "".join(rng.choice(sigma) for _ in range(rng.randint(0, 4)))
+            v = "".join(rng.choice(sigma) for _ in range(rng.randint(1, 4)))
+            got = wm.lasso_member(u, v, w)
+            assert got == lassoref.lasso_member(u, v, w), (u, v, w)
+            hits += got
+    assert 500 < hits < 5500
 
 
 def test_word_algebra_wiring():
