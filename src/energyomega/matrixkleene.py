@@ -1,10 +1,10 @@
 """Generic square matrices over a star algebra and vectors over its semimodule.
 
-``mat_star`` is the block star formula, split at n // 2.  ``mat_star_vec``,
-``mat_omega`` and ``mat_omega_k`` share one elimination solve for the
-greatest solution of v = M v + c.  Both work over an abstract operation
-set, so the energy instance and the regular-language instance share the
-same code.
+``mat_star_vec``, ``mat_omega`` and ``mat_omega_k`` share one
+elimination solve for the greatest solution of v = M v + c, and
+``mat_star`` is that solve once per column of the identity.  It works
+over an abstract operation set, so the energy instance and the
+regular-language instance share the same code.
 """
 
 from __future__ import annotations
@@ -87,113 +87,6 @@ def vector(algebra: StarAlgebra, entries: Sequence[Any]) -> ColumnVector:
     return ColumnVector(algebra, tuple(entries))
 
 
-def mat_identity(algebra: StarAlgebra, n: int) -> SquareMatrix:
-    return matrix(
-        algebra,
-        [[algebra.one if i == j else algebra.zero for j in range(n)] for i in range(n)],
-    )
-
-
-def mat_zero(algebra: StarAlgebra, n: int) -> SquareMatrix:
-    return matrix(algebra, [[algebra.zero] * n for _ in range(n)])
-
-
-def mat_join(M: SquareMatrix, N: SquareMatrix) -> SquareMatrix:
-    _check_same(M, N)
-    alg = M.algebra
-    return matrix(
-        alg,
-        [
-            [alg.join(M.rows[i][j], N.rows[i][j]) for j in range(M.dim)]
-            for i in range(M.dim)
-        ],
-    )
-
-
-def mat_mul(M: SquareMatrix, N: SquareMatrix) -> SquareMatrix:
-    _check_same(M, N)
-    return matrix(M.algebra, _mul_rect(M.algebra, M.rows, N.rows))
-
-
-def mat_equal(M: SquareMatrix, N: SquareMatrix) -> bool:
-    _check_same(M, N)
-    return all(
-        M.algebra.equal(M.rows[i][j], N.rows[i][j])
-        for i in range(M.dim)
-        for j in range(M.dim)
-    )
-
-
-def _check_same(M: SquareMatrix, N: SquareMatrix) -> None:
-    if M.dim != N.dim:
-        raise DimensionMismatch(f"dimensions {M.dim} and {N.dim} differ")
-
-
-def _block(M: SquareMatrix, r0: int, r1: int, c0: int, c1: int) -> list:
-    return [[M.rows[i][j] for j in range(c0, c1)] for i in range(r0, r1)]
-
-
-def _stack(alg: StarAlgebra, a, b, c, d) -> SquareMatrix:
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    rows += [list(rc) + list(rd) for rc, rd in zip(c, d)]
-    return matrix(alg, rows)
-
-
-def mat_star(M: SquareMatrix) -> SquareMatrix:
-    """Inductive block star, splitting the states at n // 2."""
-    alg = M.algebra
-    n = M.dim
-    if n == 1:
-        return matrix(alg, [[alg.star(M.rows[0][0])]])
-    k = n // 2
-    a = matrix(alg, _block(M, 0, k, 0, k))
-    b = _block(M, 0, k, k, n)
-    c = _block(M, k, n, 0, k)
-    d = matrix(alg, _block(M, k, n, k, n))
-
-    d_star = mat_star(d)
-    a_star = mat_star(a)
-    bds = _mul_rect(alg, b, d_star.rows)
-    cas = _mul_rect(alg, c, a_star.rows)
-    f = mat_join(a, matrix(alg, _mul_rect(alg, bds, c)))
-    g = mat_join(d, matrix(alg, _mul_rect(alg, cas, b)))
-    f_star = mat_star(f)
-    g_star = mat_star(g)
-    top_right = _mul_rect(alg, f_star.rows, bds)
-    bottom_left = _mul_rect(alg, g_star.rows, cas)
-    return _stack(alg, f_star.rows, top_right, bottom_left, g_star.rows)
-
-
-def _mul_rect(alg: StarAlgebra, A: Sequence[Sequence[Any]], B: Sequence[Sequence[Any]]) -> list:
-    """Rectangular product with the algebra's join/mul."""
-    rows_a = len(A)
-    inner = len(B)
-    cols_b = len(B[0]) if inner else 0
-    out = []
-    for i in range(rows_a):
-        row = []
-        for j in range(cols_b):
-            acc = alg.zero
-            for k in range(inner):
-                acc = alg.join(acc, alg.mul(A[i][k], B[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec_act(M: SquareMatrix, v: ColumnVector) -> ColumnVector:
-    alg = M.algebra
-    if M.dim != v.dim:
-        raise DimensionMismatch(f"matrix {M.dim} vs vector {v.dim}")
-    out = []
-    for i in range(M.dim):
-        acc = alg.vzero
-        for k in range(M.dim):
-            acc = alg.vjoin(acc, alg.act(M.rows[i][k], v.entries[k]))
-        out.append(acc)
-    return vector(alg, out)
-
-
 def _solve(M: SquareMatrix, c: Sequence[Any], k: int, act, vjoin, vzero) -> list:
     """Greatest v with v = M v + c, counting infinite runs only when they
     repeat one of the first k states.
@@ -265,6 +158,17 @@ def mat_star_vec(M: SquareMatrix, c: ColumnVector) -> ColumnVector:
         raise DimensionMismatch(f"matrix {M.dim} vs vector {c.dim}")
     alg = M.algebra
     return vector(alg, _solve(M, c.entries, 0, alg.mul, alg.join, alg.zero))
+
+
+def mat_star(M: SquareMatrix) -> SquareMatrix:
+    """M*, one column solve per column of the identity: column j is M* e_j."""
+    alg = M.algebra
+    n = M.dim
+    columns = []
+    for j in range(n):
+        e_j = [alg.one if i == j else alg.zero for i in range(n)]
+        columns.append(_solve(M, e_j, 0, alg.mul, alg.join, alg.zero))
+    return matrix(alg, list(zip(*columns)))
 
 
 def mat_omega(M: SquareMatrix) -> ColumnVector:

@@ -2,12 +2,15 @@
 
 Regular languages carry epsilon-free nondeterministic automata and form
 an idempotent semiring with star under union, concatenation and Kleene
-star.  Omega behaviour is modelled by finite unions of U . V^omega with
-epsilon not in V.  Membership of an ultimately periodic word u . v^omega
-is decided from transition profiles: the states S_u a component's Buchi
-automaton reaches on u, and the states good(v) from which the profile
-of v (states reached, and states reached past an accepting state) leads
-to an accepting cycle; the word is in the component iff they meet.
+star.  Language equality is decided on the two NFAs by Hopcroft-Karp up
+to congruence, with no subset construction; it may relate at most
+MAX_EQUALITY_PAIRS pairs of state sets.  Omega behaviour is modelled by
+finite unions of U . V^omega with epsilon not in V.  Membership of an
+ultimately periodic word u . v^omega is decided from transition
+profiles: the states S_u a component's Buchi automaton reaches on u,
+and the states good(v) from which the profile of v (states reached, and
+states reached past an accepting state) leads to an accepting cycle;
+the word is in the component iff they meet.
 Omega-language equality is checked on all lassos up to a stated bound,
 with S_u and good(v) tabulated over the prefix and period trees.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     AlphabetMismatch,
@@ -26,7 +29,8 @@ from .errors import (
     ParseError,
 )
 
-MAX_DFA_STATES = 64
+# pairs of state sets one language equality may relate
+MAX_EQUALITY_PAIRS = 1024
 # lassos (prefixes times periods) one bounded equality check may cover
 MAX_LASSOS = 2_000_000
 
@@ -160,56 +164,83 @@ def accepts(lang: RegularLang, word: str) -> bool:
     return bool(current & lang.final)
 
 
-@functools.lru_cache(maxsize=4096)
-def _dfa(lang: RegularLang) -> Tuple[tuple, Dict[Tuple[int, str], int], FrozenSet[int]]:
-    """Subset construction; state 0 is the initial subset.
+def _image(row: Sequence[int], mask: int) -> int:
+    """The successors of the states in ``mask`` under one letter's ``row``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
 
-    Returns (alphabet order, transition map, accepting DFA states).  The
-    construction is complete: the empty subset is an ordinary state.
+
+@functools.lru_cache(maxsize=4096)
+def _dfa(lang: RegularLang) -> Tuple[int, int, Dict[str, tuple]]:
+    """The NFA as bitmasks (initial, final, post); nothing is determinized.
+
+    ``post[sym][q]`` is the mask of q's successors on sym; a letter missing
+    from ``post`` has no successors.  The name predates HKC and stays
+    because the benchmark tracer reads this cache's statistics.
     """
-    syms = tuple(sorted(lang.alphabet))
-    by_sym: Dict[Tuple[int, str], Set[int]] = {}
-    for s, a, t in lang.transitions:
-        by_sym.setdefault((s, a), set()).add(t)
-    start = frozenset(lang.initial)
-    index = {start: 0}
-    queue = [start]
-    delta: Dict[Tuple[int, str], int] = {}
-    accepting: Set[int] = set()
-    while queue:
-        subset = queue.pop()
-        i = index[subset]
-        if subset & lang.final:
-            accepting.add(i)
-        for a in syms:
-            nxt = frozenset().union(*(by_sym.get((q, a), set()) for q in subset))
-            if nxt not in index:
-                if len(index) >= MAX_DFA_STATES:
-                    raise BudgetExceeded(
-                        f"determinization exceeds {MAX_DFA_STATES} states"
-                    )
-                index[nxt] = len(index)
-                queue.append(nxt)
-            delta[(i, a)] = index[nxt]
-    return syms, delta, frozenset(accepting)
+    post: Dict[str, List[int]] = {}
+    for s, sym, t in lang.transitions:
+        post.setdefault(sym, [0] * lang.n)[s] |= 1 << t
+    initial = sum(1 << q for q in lang.initial)
+    final = sum(1 << q for q in lang.final)
+    return initial, final, {sym: tuple(row) for sym, row in post.items()}
+
+
+def _normal_form(x: int, relation: Sequence[Tuple[int, int]]) -> int:
+    """The largest state set x rewrites to under X -> X | s | t, for each
+    pair (s, t) of the relation with s or t inside X."""
+    rules = relation
+    while True:
+        rest = []
+        for s, t in rules:
+            if s & ~x and t & ~x:
+                rest.append((s, t))
+            else:
+                x |= s | t
+        if len(rest) == len(rules):
+            return x
+        rules = rest
 
 
 def lang_equal(a: RegularLang, b: RegularLang) -> bool:
-    """Exact equality via emptiness of the symmetric difference."""
-    _check_alphabet(a, b)
-    syms_a, delta_a, acc_a = _dfa(a)
-    _, delta_b, acc_b = _dfa(b)
-    seen = {(0, 0)}
-    queue = [(0, 0)]
-    while queue:
-        i, j = queue.pop()
-        if (i in acc_a) != (j in acc_b):
+    """Exact equality by Hopcroft-Karp up to congruence (HKC).
+
+    The two NFAs run as one disjoint union, b's states above a's.  Pairs
+    (X, Y) of state sets are taken from a work list, starting from the
+    initial sets.  A pair is skipped when X and Y have the same normal
+    form under the relation R built so far, that is when it lies in the
+    congruence closure of R.  Otherwise differing acceptance refutes
+    equality, and (X, Y) joins R with its successor pair per letter on
+    the work list.  When the list empties, R is a bisimulation up to
+    congruence that relates the initial sets, so the languages are equal
+    (Bonchi and Pous, POPL 2013).  Neither NFA is determinized; more than
+    MAX_EQUALITY_PAIRS pairs in R raise BudgetExceeded.
+    """
+    syms = sorted(_check_alphabet(a, b))
+    init_a, final_a, post_a = _dfa(a)
+    init_b, final_b, post_b = _dfa(b)
+    final = final_a | final_b << a.n
+    rows = [
+        post_a.get(sym, (0,) * a.n) + tuple(r << a.n for r in post_b.get(sym, (0,) * b.n))
+        for sym in syms
+    ]
+    relation: List[Tuple[int, int]] = []
+    todo = [(init_a, init_b << a.n)]
+    while todo:
+        x, y = todo.pop()
+        # equal normal forms: each set lies inside the other's normal form
+        if not y & ~_normal_form(x, relation) and not x & ~_normal_form(y, relation):
+            continue
+        if bool(x & final) != bool(y & final):
             return False
-        for sym in syms_a:
-            nxt = (delta_a[(i, sym)], delta_b[(j, sym)])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+        if len(relation) == MAX_EQUALITY_PAIRS:
+            raise BudgetExceeded(f"language equality exceeds {MAX_EQUALITY_PAIRS} pairs")
+        relation.append((x, y))
+        todo.extend((_image(row, x), _image(row, y)) for row in rows)
     return True
 
 
@@ -383,16 +414,6 @@ def _buchi_for_pair(u: RegularLang, v: RegularLang):
     if accepts_epsilon(u):
         initial |= enter
     return n, initial, restart, {sym: tuple(row) for sym, row in post.items()}
-
-
-def _image(row: Sequence[int], mask: int) -> int:
-    """The successors of the states in ``mask`` under one letter's ``row``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= row[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _identity_profile(n: int) -> Tuple[tuple, tuple]:

@@ -3,11 +3,60 @@
 These are the inductive block formulas of the matrix star, the matrix
 omega and the stacked omega_k.  For any split 0 < k < n the result is
 the same, and it must equal what ``matrixkleene`` computes by
-elimination.
+elimination.  The plain matrix operations they and the tests use (join,
+product, action on a vector, equality, identity and zero) live here too.
 """
 
 from energyomega import matrixkleene as mk
 from energyomega.errors import DimensionMismatch
+
+
+def mat_identity(algebra, n):
+    return mk.matrix(
+        algebra,
+        [[algebra.one if i == j else algebra.zero for j in range(n)] for i in range(n)],
+    )
+
+
+def mat_zero(algebra, n):
+    return mk.matrix(algebra, [[algebra.zero] * n for _ in range(n)])
+
+
+def _check_same(M, N):
+    if M.dim != N.dim:
+        raise DimensionMismatch(f"dimensions {M.dim} and {N.dim} differ")
+
+
+def mat_join(M, N):
+    _check_same(M, N)
+    alg = M.algebra
+    return mk.matrix(
+        alg,
+        [
+            [alg.join(M.rows[i][j], N.rows[i][j]) for j in range(M.dim)]
+            for i in range(M.dim)
+        ],
+    )
+
+
+def mat_mul(M, N):
+    _check_same(M, N)
+    return mk.matrix(M.algebra, _mul_rect(M.algebra, M.rows, N.rows))
+
+
+def mat_equal(M, N):
+    _check_same(M, N)
+    return all(
+        M.algebra.equal(M.rows[i][j], N.rows[i][j])
+        for i in range(M.dim)
+        for j in range(M.dim)
+    )
+
+
+def mat_vec_act(M, v):
+    if M.dim != v.dim:
+        raise DimensionMismatch(f"matrix {M.dim} vs vector {v.dim}")
+    return mk.vector(M.algebra, _act_rect(M.algebra, M.rows, v.entries))
 
 
 def _block(M, r0, r1, c0, c1):
@@ -50,8 +99,8 @@ def _split(M, split):
     d = mk.matrix(alg, _block(M, k, n, k, n))
     bds = _mul_rect(alg, b, block_star(d).rows)
     cas = _mul_rect(alg, c, block_star(a).rows)
-    f = mk.mat_join(a, mk.matrix(alg, _mul_rect(alg, bds, c)))
-    g = mk.mat_join(d, mk.matrix(alg, _mul_rect(alg, cas, b)))
+    f = mat_join(a, mk.matrix(alg, _mul_rect(alg, bds, c)))
+    g = mat_join(d, mk.matrix(alg, _mul_rect(alg, cas, b)))
     return a, b, c, d, bds, cas, f, g
 
 
@@ -93,7 +142,7 @@ def block_omega_k(M, k):
     b = _block(M, 0, k, k, n)
     c = _block(M, k, n, 0, k)
     d_star = block_star(mk.matrix(alg, _block(M, k, n, k, n))).rows
-    f = mk.mat_join(a, mk.matrix(alg, _mul_rect(alg, _mul_rect(alg, b, d_star), c)))
+    f = mat_join(a, mk.matrix(alg, _mul_rect(alg, _mul_rect(alg, b, d_star), c)))
     top = block_omega(f).entries
     bottom = _act_rect(alg, _mul_rect(alg, d_star, c), top)
     return mk.vector(alg, list(top) + bottom)

@@ -14,7 +14,7 @@ from energyomega.energyfn import identity
 from energyomega.extlat import BOTTOM, TOP, finite
 from energyomega.omegaval import apply
 
-from blockref import block_omega, block_omega_k, block_star
+from blockref import block_omega, block_omega_k, block_star, mat_equal
 from conftest import F, fn_pieces, record_criterion
 from test_energyauto import _energies, _random_automaton
 from test_matrixkleene import path_sup
@@ -110,7 +110,7 @@ def test_criterion_3_matrix_star():
             )
             star, omega = mk.mat_star(m), mk.mat_omega(m)
             for k in range(1, n):
-                assert mk.mat_equal(block_star(m, split=k), star)
+                assert mat_equal(block_star(m, split=k), star)
                 assert block_omega(m, split=k).entries == omega.entries
             for k in range(n + 1):
                 assert mk.mat_omega_k(m, k).entries == block_omega_k(m, k).entries

@@ -197,26 +197,26 @@ def test_identity_out_of_budget_is_unknown():
     x, y = (laws.random_regex(rng, "ab", epsilon_free=True) for _ in range(2))
 
     def over_budget(a, b):
-        raise BudgetExceeded("determinization exceeds 64 states")
+        raise BudgetExceeded("language equality exceeds 1024 pairs")
 
     alg = dataclasses.replace(wordmodel.word_algebra("ab"), equal=over_budget)
     report = laws.LawReport("conway", "word")
     laws.check_identity(report, "conway-star", alg, x, y)
     assert report.verdict == "Unknown" and report.cases == 1
-    assert report.unknowns[0].sample == "determinization exceeds 64 states"
+    assert report.unknowns[0].sample == "language equality exceeds 1024 pairs"
 
 
 @pytest.mark.parametrize("name", ["conway-star", "group-C2"])
 def test_wordcheck_out_of_budget_is_error(monkeypatch, capsys, name):
     def over_budget(a, b):
-        raise BudgetExceeded("determinization exceeds 64 states")
+        raise BudgetExceeded("language equality exceeds 1024 pairs")
 
     monkeypatch.setattr(wordmodel, "lang_equal", over_budget)
     code = cli.main(["wordcheck", "--identity", name, "--cases", "2"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: determinization exceeds 64 states\n"
+    assert captured.err == "error: language equality exceeds 1024 pairs\n"
 
 
 # ----------------------------------------------------------------------
@@ -251,13 +251,22 @@ def test_group_word_c2():
     assert report.verdict == "Pass", report.failures
 
 
+def test_group_word_c3_decided():
+    for seed in range(5):
+        rng = random.Random(seed)
+        elements = [laws.random_regex(rng, "ab", epsilon_free=True) for _ in range(3)]
+        report = laws.check_group_identity("C3", elements, "word", bound=4)
+        assert report.verdict == "Pass", (seed, report.failures, report.unknowns)
+
+
 def test_group_word_out_of_budget_is_unknown():
-    # M_G* for C3 over these regexes needs more than MAX_DFA_STATES to compare
-    rng = random.Random(0)
-    elements = [laws.random_regex(rng, "ab", epsilon_free=True) for _ in range(3)]
-    report = laws.check_group_identity("C3", elements, "word", bound=4)
+    # the row sums of M_G* equal (x+y)*, but proving it for these x and y
+    # relates more than MAX_EQUALITY_PAIRS pairs of state sets
+    any12 = "(a|b)" * 12
+    elements = [wordmodel.parse_regex(f"(a|b)*{c}{any12}", "ab") for c in "ab"]
+    report = laws.check_group_identity("C2", elements, "word", bound=4)
     assert report.verdict == "Unknown", report.failures
-    assert report.unknowns[0].sample == "determinization exceeds 64 states"
+    assert report.unknowns[0].sample == "language equality exceeds 1024 pairs"
 
 
 def test_group_table_validation():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from energyomega.errors import (
     ParseError,
 )
 
+import langref
 import lassoref
 
 AB = ("a", "b")
@@ -74,10 +76,45 @@ def test_is_empty():
 
 
 def test_determinization_budget():
-    # needs 2^7 = 128 subset states: 'a' seven letters before the end
-    lang = rx("(a|b)*.a.(a|b).(a|b).(a|b).(a|b).(a|b).(a|b)")
-    with pytest.raises(BudgetExceeded):
-        wm.lang_equal(lang, rx("a*"))
+    # equal languages whose proof relates 9,905 pairs of state sets
+    any12 = "(a|b)" * 12
+    lhs = rx(f"(a|b)*a{any12}|(a|b)*b{any12}")
+    rhs = rx(f"(a|b)*(a|b){any12}")
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded, match="exceeds 1024 pairs"):
+        wm.lang_equal(lhs, rhs)
+    assert time.monotonic() - start < 1.0
+
+
+def _lang_pairs(rng, count):
+    """Seeded language pairs over ab and abc: random pairs, mostly unequal,
+    one side against its union with the other, and the two sides of a
+    star identity, which are equal."""
+    for i in range(count):
+        sigma = rng.choice(("ab", "abc"))
+        x, y = laws.random_regex(rng, sigma), laws.random_regex(rng, sigma)
+        kind = i % 3
+        if kind == 1:
+            y = wm.lang_union(x, y)
+        elif kind == 2:
+            name = rng.choice(("conway-star", "product-star"))
+            x, y = laws.IDENTITIES[name].sides(wm.word_algebra(sigma), x, y)
+        yield x, y
+
+
+def test_lang_equal_matches_reference():
+    rng = random.Random(63)
+    compared = unequal = epsilon = 0
+    for x, y in _lang_pairs(rng, 400):
+        try:
+            want = langref.lang_equal(x, y)
+        except BudgetExceeded:
+            continue
+        assert wm.lang_equal(x, y) == want, (x, y)
+        compared += 1
+        unequal += not want
+        epsilon += wm.accepts_epsilon(x) != wm.accepts_epsilon(y)
+    assert compared >= 300 and unequal >= 150 and epsilon >= 50
 
 
 # ----------------------------------------------------------------------
