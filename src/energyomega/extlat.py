@@ -115,32 +115,8 @@ def finite(q: RationalLike) -> ExtValue:
     return ExtValue(_FIN_RANK, frac)
 
 
-def ext_shift(x: ExtValue, d: RationalLike) -> ExtValue:
-    """Shift a value by a signed rational; saturates at bottom and top.
-
-    A finite value pushed below 0 collapses to bottom.  This is the
-    helper convention used inside energy-function evaluation, not a
-    lattice axiom.
-    """
-    if x.is_bottom or x.is_top:
-        return x
-    shifted = x.value + as_fraction(d)
-    if shifted < 0:
-        return BOTTOM
-    return ExtValue(_FIN_RANK, shifted)
-
-
 def ext_join(x: ExtValue, y: ExtValue) -> ExtValue:
     return y if x < y else x
-
-
-def ext_cmp(x: ExtValue, y: ExtValue) -> int:
-    """-1, 0 or 1 per the total order."""
-    if x < y:
-        return -1
-    if y < x:
-        return 1
-    return 0
 
 
 def format_ext(x: ExtValue) -> str:

@@ -1,13 +1,15 @@
 """Executable checkers for the algebra laws and named identities.
 
 Each checker compares two sides of a law on concrete inputs and returns
-a LawReport.  Laws whose right side is an infinite supremum are searched
-over ultimately periodic candidates with explicit bounds; those cases
-report Unknown rather than guessing, as do comparisons that run out of
-budget.  The Conway star and omega identities are one table,
-IDENTITIES, written over a StarAlgebra and shared by both models and
-the ``wordcheck`` command.  All randomness is seeded, so every failure
-is replayable.
+a LawReport.  Laws whose right side is an infinite supremum (Ax0, Ax3,
+Ax4 and the bi-inductive x^w + x*v) build a small energy automaton from
+the law's operands, whose best run is that supremum, and compare the
+left side with ``energyauto``'s relaxation oracles at each sample, so
+they report Pass or Fail.  Unknown is left for word-model comparisons
+that raise BudgetExceeded.  The Conway star and omega identities are one
+table, IDENTITIES, written over a StarAlgebra and shared by both models
+and the ``wordcheck`` command.  All randomness is seeded, so every
+failure is replayable.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import product
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from . import energyfn, matrixkleene as mk, omegaval, wordmodel
+from . import energyauto, energyfn, matrixkleene as mk, omegaval, wordmodel
 from .energyfn import EnergyFunction
 from .errors import BudgetExceeded, InvalidGroupTable, InvalidRegrouping, UnknownIdentity
-from .extlat import BOTTOM, TOP, ExtValue, ext_join, finite
+from .extlat import BOTTOM, TOP, ExtValue, finite
 from .omegaval import NEVER, ThresholdPredicate
 
 
@@ -160,6 +161,45 @@ def random_regex(rng: random.Random, alphabet: str, epsilon_free: bool = False):
 
 
 # ----------------------------------------------------------------------
+# The infinite suprema, decided by the relaxation oracles
+
+
+def _law_automaton(
+    edges: Sequence[Tuple[int, int, EnergyFunction]], accepting: Sequence[int]
+) -> energyauto.EnergyAutomaton:
+    """States 0..n-1 named by their index, initial state 0, parallel edges joined."""
+    joined = {}
+    for src, dst, fn in edges:
+        key = (str(src), str(dst))
+        joined[key] = energyfn.join(joined[key], fn) if key in joined else fn
+    n = 1 + max(max(src, dst) for src, dst, _ in edges)
+    return energyauto.automaton(
+        [str(i) for i in range(n)], ["0"], [str(i) for i in accepting], joined
+    )
+
+
+def _oracle_cases(
+    report: LawReport,
+    inputs: str,
+    lhs: Union[EnergyFunction, ThresholdPredicate],
+    aut: energyauto.EnergyAutomaton,
+    samples: Sequence[ExtValue],
+) -> None:
+    """One case per sample: an energy function against ``oracle_reach``'s
+    value, a threshold predicate against ``oracle_buchi``'s answer."""
+    for x in samples:
+        report.cases += 1
+        if isinstance(lhs, EnergyFunction):
+            want, got = lhs.eval(x), energyauto.oracle_reach(aut, x).value
+            sides = str(want), str(got)
+        else:
+            want, got = omegaval.apply(lhs, x), energyauto.oracle_buchi(aut, x).answer
+            sides = str(lhs), "accepting run" if got else "no accepting run"
+        if want != got:
+            report.failures.append(LawCase(inputs, *sides, sample=str(x)))
+
+
+# ----------------------------------------------------------------------
 # Ax0: f g* h as the supremum of f g^n h
 
 
@@ -168,39 +208,13 @@ def check_ax0(
     g: EnergyFunction,
     h: EnergyFunction,
     samples: Sequence[ExtValue],
-    budget: int = 64,
 ) -> LawReport:
+    """Compare f g* h with the best run of 0 -f-> 1 -g-> 1 -h-> 2."""
     report = LawReport("ax0", "energy")
-    lhs_fn = energyfn.compose(energyfn.compose(f, energyfn.star(g)), h)
-    inputs = f"f={f}; g={g}; h={h}"
-    for x in samples:
-        report.cases += 1
-        lhs = lhs_fn.eval(x)
-        rhs = _ax0_rhs(f, g, h, x, budget)
-        if rhs is None:
-            report.unknowns.append(
-                LawCase(inputs, str(lhs), "undecided", sample=str(x))
-            )
-        elif lhs != rhs:
-            report.failures.append(LawCase(inputs, str(lhs), str(rhs), sample=str(x)))
+    lhs = energyfn.compose(energyfn.compose(f, energyfn.star(g)), h)
+    aut = _law_automaton([(0, 1, f), (1, 1, g), (1, 2, h)], [2])
+    _oracle_cases(report, f"f={f}; g={g}; h={h}", lhs, aut, samples)
     return report
-
-
-def _ax0_rhs(f, g, h, x: ExtValue, budget: int) -> Optional[ExtValue]:
-    """Partial joins of f g^n h at x until a stabilization certificate."""
-    y = f.eval(x)
-    acc = BOTTOM
-    for _ in range(budget):
-        acc = ext_join(acc, h.eval(y))
-        if y.is_bottom or y.is_top:
-            return acc
-        nxt = g.eval(y)
-        if nxt <= y:
-            # orbit is nonincreasing from here on, so the join is final
-            return acc
-        # strictly climbing orbit: unbounded, so the supremum tops out
-        return acc if h.is_const_bottom else ext_join(acc, TOP)
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -278,118 +292,62 @@ def check_ax3(
     cycle: Sequence[EnergyFunction],
     y: EnergyFunction,
     z: EnergyFunction,
-    samples: Sequence[ExtValue] = (),
-    max_reps: int = 3,
+    samples: Sequence[ExtValue],
 ) -> LawReport:
     """Compare prod x_n (y v z) with the join over choice sequences.
 
-    The right side joins over all sequences of y/z choices, which can be
-    a genuinely infinite supremum; it is certified pointwise at the
-    samples by searching ultimately periodic choice patterns with period
-    up to max_reps cycle lengths.
+    The right side holds where the lasso of positions has an accepting
+    run: state 2n steps by x_n to 2n + 1, which steps by y or by z to the
+    next position.  The first cycle position is accepting.
     """
     yz = energyfn.join(y, z)
     lhs = omegaval.infinite_product_lasso(
         [energyfn.compose(p, yz) for p in prefix],
         [energyfn.compose(c, yz) for c in cycle],
     )
-    plen, clen = len(prefix), len(cycle)
-    candidates = []
-    for reps in range(1, max_reps + 1):
-        for pre_choice in product((y, z), repeat=plen):
-            for cyc_choice in product((y, z), repeat=clen * reps):
-                cand_prefix = [
-                    energyfn.compose(p, c) for p, c in zip(prefix, pre_choice)
-                ]
-                cand_cycle = [
-                    energyfn.compose(cycle[i % clen], c)
-                    for i, c in enumerate(cyc_choice)
-                ]
-                candidates.append(
-                    omegaval.infinite_product_lasso(cand_prefix, cand_cycle)
-                )
+    xs = list(prefix) + list(cycle)
+    edges = []
+    for n, x in enumerate(xs):
+        nxt = 2 * (n + 1 if n + 1 < len(xs) else len(prefix))
+        edges += [(2 * n, 2 * n + 1, x), (2 * n + 1, nxt, y), (2 * n + 1, nxt, z)]
+    aut = _law_automaton(edges, [2 * len(prefix)])
     inputs = (
         f"prefix={[str(p) for p in prefix]}; cycle={[str(c) for c in cycle]}; "
         f"y={y}; z={z}"
     )
-    return _pointwise_sup_report("ax3", inputs, lhs, candidates, samples)
-
-
-def _pointwise_sup_report(
-    law: str,
-    inputs: str,
-    lhs: ThresholdPredicate,
-    candidates: Sequence[ThresholdPredicate],
-    samples: Sequence[ExtValue],
-) -> LawReport:
-    """Check lhs = sup(candidates) pointwise at the samples.
-
-    Every candidate must stay below lhs (soundness is exact); where lhs
-    is true some candidate must agree, otherwise the search was too
-    small and the point is Unknown.
-    """
-    report = LawReport(law, "energy")
-    rhs = NEVER
-    for cand in candidates:
-        rhs = omegaval.vjoin(rhs, cand)
-    if omegaval.vjoin(rhs, lhs) != lhs:
-        report.cases += 1
-        report.failures.append(LawCase(inputs, str(lhs), str(rhs)))
-        return report
-    if rhs == lhs:
-        report.cases += max(1, len(samples))
-        return report
-    for x in samples:
-        report.cases += 1
-        if omegaval.apply(lhs, x) and not omegaval.apply(rhs, x):
-            report.unknowns.append(
-                LawCase(inputs, str(lhs), str(rhs), sample=str(x))
-            )
-    if not samples:
-        report.cases += 1
-        report.unknowns.append(LawCase(inputs, str(lhs), str(rhs)))
+    report = LawReport("ax3", "energy")
+    _oracle_cases(report, inputs, lhs, aut, samples)
     return report
 
 
 # ----------------------------------------------------------------------
-# Ax4: prod f* y_n as the join over exponent patterns
+# Ax4: prod f* y_n as the join over exponent sequences
 
 
 def check_ax4(
     f: EnergyFunction,
     cycle: Sequence[EnergyFunction],
-    samples: Sequence[ExtValue] = (),
-    max_exp: int = 6,
-    max_reps: int = 2,
+    samples: Sequence[ExtValue],
 ) -> LawReport:
-    """Compare prod f* y_n with the join over exponent patterns.
+    """Compare prod f* y_n with the join over exponent sequences.
 
-    As in check_ax3 the right side can be an infinite supremum (constant
-    patterns with growing exponents can have thresholds tending to the
-    left side's open boundary), so agreement is certified pointwise.
+    The right side holds where some accepted run, for each y_n, steps
+    from the accepting state 2n by identity to 2n + 1, loops there by f,
+    and leaves by y_n.  The f-loop is off the accepting states, so an
+    accepted run takes finitely many f steps between y steps.
     """
     fstar = energyfn.star(f)
     lhs = omegaval.infinite_product_lasso(
         [], [energyfn.compose(fstar, y) for y in cycle]
     )
-    inputs = f"f={f}; cycle={[str(c) for c in cycle]}"
-    clen = len(cycle)
-    report = None
-    for bound in (max_exp, max_exp + 4, max_exp + 8):
-        powers = [energyfn.identity()]
-        for _ in range(bound):
-            powers.append(energyfn.compose(powers[-1], f))
-        candidates = []
-        for reps in range(1, max_reps + 1):
-            for exps in product(range(bound + 1), repeat=clen * reps):
-                cand = [
-                    energyfn.compose(powers[k], cycle[i % clen])
-                    for i, k in enumerate(exps)
-                ]
-                candidates.append(omegaval.infinite_product_lasso([], cand))
-        report = _pointwise_sup_report("ax4", inputs, lhs, candidates, samples)
-        if not report.unknowns:
-            return report
+    edges = []
+    for n, y in enumerate(cycle):
+        nxt = 2 * ((n + 1) % len(cycle))
+        edges += [(2 * n, 2 * n + 1, energyfn.identity()), (2 * n + 1, 2 * n + 1, f),
+                  (2 * n + 1, nxt, y)]
+    aut = _law_automaton(edges, range(0, 2 * len(cycle), 2))
+    report = LawReport("ax4", "energy")
+    _oracle_cases(report, f"f={f}; cycle={[str(c) for c in cycle]}", lhs, aut, samples)
     return report
 
 
@@ -440,7 +398,7 @@ def _omega_equal(instance: str, a, b, bound: int):
 def check_identity(report: LawReport, name: str, alg, x, y, bound: int = 5) -> None:
     """Add one case of the IDENTITIES row `name` at (x, y) to the report.
 
-    A check that runs out of budget is Unknown.  Word-model failures
+    A check that raises BudgetExceeded is Unknown.  Word-model failures
     name only the law, because a RegularLang has no readable str.
     """
     law, sides, omega = IDENTITIES[name]
@@ -573,8 +531,10 @@ def check_bi_inductive(
     f: EnergyFunction,
     v: ThresholdPredicate,
     samples: Sequence[ExtValue],
-    budget: int = 256,
 ) -> LawReport:
+    """w = f^w + f* v refolds to f w + v, and holds exactly where an
+    accepting f-loop with an edge, alive where v holds, into an accepting
+    identity loop has an accepting run."""
     report = LawReport("bi-inductive", "energy")
     w = omegaval.vjoin(omegaval.omega(f), omegaval.act(energyfn.star(f), v))
     inputs = f"f={f}; v={v}"
@@ -584,37 +544,16 @@ def check_bi_inductive(
     if refolded != w:
         report.failures.append(LawCase(inputs, str(w), str(refolded)))
 
-    # maximality: wherever w is false the unrolled bound must die.  The
-    # top energy is excluded: predicates identify top with arbitrarily
+    # v as an edge: bottom where v fails, top where it holds
+    where_v = (
+        energyfn.CONST_BOTTOM
+        if v.is_never
+        else energyfn.validate(v.threshold, not v.inclusive, [], v.threshold, v.inclusive)
+    )
+    aut = _law_automaton([(0, 0, f), (0, 1, where_v), (1, 1, energyfn.identity())], [0, 1])
+    # The top energy is excluded: predicates identify top with arbitrarily
     # large finite levels, so no predicate is true at top alone.
-    for x in samples:
-        if x.is_top:
-            continue
-        report.cases += 1
-        if omegaval.apply(w, x):
-            continue
-        y = x
-        died = False
-        for _ in range(budget):
-            if y.is_bottom:
-                died = True
-                break
-            if omegaval.apply(v, y):
-                break
-            nxt = f.eval(y)
-            if nxt >= y:
-                break
-            y = nxt
-        if died:
-            continue
-        if y.is_bottom or (not omegaval.apply(v, y) and f.eval(y) < y):
-            report.unknowns.append(
-                LawCase(inputs, "false", "undecided", sample=str(x))
-            )
-        else:
-            report.failures.append(
-                LawCase(inputs, "false", "orbit survives", sample=str(x))
-            )
+    _oracle_cases(report, inputs, w, aut, [x for x in samples if not x.is_top])
     return report
 
 

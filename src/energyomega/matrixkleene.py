@@ -1,9 +1,9 @@
 """Generic square matrices over a star algebra and vectors over its semimodule.
 
-``mat_star_vec``, ``mat_omega`` and ``mat_omega_k`` share one
-elimination solve for the greatest solution of v = M v + c, and
-``mat_star`` is that solve once per column of the identity.  It works
-over an abstract operation set, so the energy instance and the
+``mat_star_vec``, ``mat_star``, ``mat_omega`` and ``mat_omega_k``
+share one elimination solve for the greatest solution of v = M v + c;
+``mat_star`` solves it once, with the rows of the identity as c.  The
+solve works over an abstract operation set, so the energy instance and the
 regular-language instance share the same code.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from . import energyfn, omegaval
 from .errors import BadAcceptingCount, DimensionMismatch
@@ -19,11 +19,11 @@ from .errors import BadAcceptingCount, DimensionMismatch
 
 @dataclass(frozen=True)
 class StarAlgebra:
-    """Idempotent semiring with star; optionally an omega semimodule.
+    """Idempotent semiring with star, and its omega semimodule.
 
-    ``mul`` is diagrammatic: mul(a, b) follows a by b.  The omega part
-    (``act``, ``vjoin``, ``vzero``, ``omega``) may be None for instances
-    that only need star.
+    ``mul`` is diagrammatic: mul(a, b) follows a by b.  ``act``,
+    ``vjoin``, ``vzero`` and ``omega`` are the semimodule's left action,
+    join, zero and the omega power of a semiring element.
     """
 
     name: str
@@ -33,10 +33,10 @@ class StarAlgebra:
     one: Any
     star: Callable[[Any], Any]
     equal: Callable[[Any, Any], bool]
-    act: Optional[Callable[[Any, Any], Any]] = None
-    vjoin: Optional[Callable[[Any, Any], Any]] = None
-    vzero: Any = None
-    omega: Optional[Callable[[Any], Any]] = None
+    act: Callable[[Any, Any], Any]
+    vjoin: Callable[[Any, Any], Any]
+    vzero: Any
+    omega: Callable[[Any], Any]
 
 
 ENERGY_ALGEBRA = StarAlgebra(
@@ -161,14 +161,23 @@ def mat_star_vec(M: SquareMatrix, c: ColumnVector) -> ColumnVector:
 
 
 def mat_star(M: SquareMatrix) -> SquareMatrix:
-    """M*, one column solve per column of the identity: column j is M* e_j."""
+    """M*, from one solve of v = M v + I whose vector entries are rows.
+
+    An entry acts on a row entrywise and rows join entrywise, so v_p is
+    row p of M*.
+    """
     alg = M.algebra
+    mul, join, zero = alg.mul, alg.join, alg.zero
     n = M.dim
-    columns = []
-    for j in range(n):
-        e_j = [alg.one if i == j else alg.zero for i in range(n)]
-        columns.append(_solve(M, e_j, 0, alg.mul, alg.join, alg.zero))
-    return matrix(alg, list(zip(*columns)))
+
+    def act(a, row):
+        return tuple(mul(a, x) for x in row)
+
+    def vjoin(r, s):
+        return tuple(map(join, r, s))
+
+    unit_rows = [tuple(alg.one if i == j else zero for j in range(n)) for i in range(n)]
+    return matrix(alg, _solve(M, unit_rows, 0, act, vjoin, (zero,) * n))
 
 
 def mat_omega(M: SquareMatrix) -> ColumnVector:

@@ -244,31 +244,6 @@ def lang_equal(a: RegularLang, b: RegularLang) -> bool:
     return True
 
 
-def lang_is_empty(lang: RegularLang) -> bool:
-    seen = set(lang.initial)
-    queue = list(seen)
-    while queue:
-        q = queue.pop()
-        if q in lang.final:
-            return False
-        for s, _a, t in lang.transitions:
-            if s == q and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return True
-
-
-def enumerate_words(lang: RegularLang, maxlen: int) -> List[str]:
-    syms = sorted(lang.alphabet)
-    out = []
-    for length in range(maxlen + 1):
-        for tup in product(syms, repeat=length):
-            word = "".join(tup)
-            if accepts(lang, word):
-                out.append(word)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Regex literals
 

