@@ -221,7 +221,48 @@ def _sustained(aut: EnergyAutomaton, s: int, z: ExtValue) -> bool:
     return energy[s] >= z
 
 
-_TOP_PROBES = [Fraction(0)] + [Fraction(2) ** k for k in range(13)]
+def _top_probe(aut: EnergyAutomaton) -> Fraction:
+    """An energy z* at which every state that sustains at all sustains.
+
+    z* = 2 n Z kappa, where Z is 1 plus the largest structure point of any
+    edge, and kappa = m / (m - 1) for the least last-piece slope m > 1 of
+    a live edge with no top region (kappa = 1 if there is none).
+    Sustained energies are upward closed, so it remains to show that a
+    state s that sustains at some z > z* sustains at z*.
+
+    From Z on every live edge is top, or x -> c + m (x - t) with c >= 0,
+    m >= 1 and t < Z, so f(x) >= x - Z: a walk of k edges entered at
+    x >= k Z is at Z or above before each edge.  Let a return walk W from
+    s sustain at z.  Its gain h(x) - x is nondecreasing, so h(x) >= x for
+    all x >= z, and for x large W stays at Z or above.  Then W has
+
+    - a top edge u -> v.  The closed walk from s to u along W, over the
+      edge, and from v back to s along W has at most 2n - 1 edges.  From
+      (2n - 1) Z on it takes the edge at Z or above and gets top, which
+      live edges keep.
+    - an edge u -> v with last slope m' > 1, so m' / (m' - 1) <= kappa.
+      The same short walk, entered at x >= (2n - 1) Z, reaches u at
+      y >= x - (n - 1) Z, leaves v at >= m' (y - Z) and ends at
+      >= m' (x - n Z) - (n - 1) Z.  That is >= x once
+      x >= (m' n + n - 1) Z / (m' - 1), so from (2n - 1) Z kappa on, as
+      m' n + n - 1 <= (2n - 1) m' by (n - 1)(m' - 1) >= 0.
+    - only slope-1 edges x -> x + d, with sum d >= 0 over W.  W splits
+      into simple cycles.  If one has d > 0, go from s to it along W (at
+      most n - 1 edges), pump it, and go back (at most n - 1 edges): from
+      2n Z on every step starts at Z or above, and enough turns repay
+      both paths.  Otherwise every cycle has d = 0, and the one through
+      s, of at most n edges, sustains from n Z on.
+
+    Each bound is at most z*.
+    """
+    live = [f for row in aut.matrix.rows for f in row if not f.is_const_bottom]
+    big_z = 1 + max((f.structure_points()[-1] for f in live), default=Fraction(0))
+    m = min(
+        (f.pieces[-1].slope for f in live if f.top is None and f.pieces[-1].slope > 1),
+        default=None,
+    )
+    kappa = 1 if m is None else m / (m - 1)
+    return 2 * aut.dim * big_z * kappa
 
 
 def _witness_path(aut: EnergyAutomaton, pred: Dict[int, int], target: int) -> tuple:
@@ -253,18 +294,16 @@ def oracle_buchi(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
     If the state keeps at least energy z on some return trip then it can
     repeat that trip forever: the sustained set is upward closed, so each
     later visit arrives no poorer.  A top reach energy stands for
-    unbounded finite levels and is handled by finite probes, which is
-    again exact by upward closure.
+    unbounded finite levels; they sustain iff the energy ``_top_probe``
+    derives from the edges does.  So each reached accepting state takes
+    one ``_sustained`` call.
     """
     energy, pred = _max_energies(aut, x0)
+    top_probe = finite(_top_probe(aut))
     for i, name in enumerate(aut.states):
         if name not in aut.accepting or energy[i].is_bottom:
             continue
-        if energy[i].is_finite:
-            probes = [energy[i]]
-        else:
-            probes = [finite(z) for z in _TOP_PROBES]
-        if any(_sustained(aut, i, z) for z in probes):
+        if _sustained(aut, i, top_probe if energy[i].is_top else energy[i]):
             prefix = _witness_path(aut, pred, i)
             return QueryResult(True, energy[i], (prefix, (aut.states[i],)))
     return QueryResult(False, BOTTOM, None)

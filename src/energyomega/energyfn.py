@@ -28,16 +28,13 @@ from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
-    BudgetExceeded,
     MalformedPieces,
     NegativeValue,
     NonMonotone,
     ParseError,
     SlopeTooSmall,
 )
-from .extlat import (
-    BOTTOM, TOP, ExtValue, RationalLike, as_fraction, ext_join, finite, json_flag,
-)
+from .extlat import BOTTOM, TOP, ExtValue, RationalLike, as_fraction, finite, json_flag
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -395,41 +392,6 @@ def star(f: EnergyFunction) -> EnergyFunction:
         return identity()
     t, inclusive = hit
     return top_from(t, inclusive)
-
-
-# ----------------------------------------------------------------------
-# Local finiteness witness
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    kind: str  # "stabilized" or "diverges"
-    steps: int
-    value: Optional[ExtValue]  # stabilized partial supremum, None on divergence
-
-
-def local_finiteness_witness(
-    f: EnergyFunction, x: ExtValue, max_n: int = 64
-) -> WitnessReport:
-    """Iterate partial suprema x v xf v ... until a certificate appears.
-
-    Stabilization is certified when f(y) <= y for the current iterate y
-    (all later iterates are then dominated); divergence when a live
-    finite point with f(y) > y is reached, or the iterate hits top.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    y = x
-    sup = x
-    for n in range(max_n + 1):
-        fy = f.eval(y)
-        if fy <= y:
-            return WitnessReport("stabilized", n, sup)
-        if y.is_top or y.is_finite:
-            return WitnessReport("diverges", n, None)
-        y = fy
-        sup = ext_join(sup, y)
-    raise BudgetExceeded(f"no certificate within {max_n} iterations")
 
 
 # ----------------------------------------------------------------------

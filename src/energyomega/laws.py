@@ -22,7 +22,9 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import energyauto, energyfn, matrixkleene as mk, omegaval, wordmodel
 from .energyfn import EnergyFunction
-from .errors import BudgetExceeded, InvalidGroupTable, InvalidRegrouping, UnknownIdentity
+from .errors import (
+    BudgetExceeded, InvalidGroupTable, InvalidRegrouping, UnknownIdentity, ValidationError,
+)
 from .extlat import BOTTOM, TOP, ExtValue, finite
 from .omegaval import NEVER, ThresholdPredicate
 
@@ -114,7 +116,7 @@ def random_energy_function(rng: random.Random) -> EnergyFunction:
             top_incl = rng.random() < 0.5
         try:
             return energyfn.validate(b, b_incl, pieces, top, top_incl)
-        except Exception:
+        except ValidationError:
             continue
     return energyfn.identity()
 

@@ -26,7 +26,6 @@ class StarAlgebra:
     join, zero and the omega power of a semiring element.
     """
 
-    name: str
     join: Callable[[Any, Any], Any]
     mul: Callable[[Any, Any], Any]
     zero: Any
@@ -40,7 +39,6 @@ class StarAlgebra:
 
 
 ENERGY_ALGEBRA = StarAlgebra(
-    name="energy",
     join=energyfn.join,
     mul=energyfn.compose,
     zero=energyfn.CONST_BOTTOM,

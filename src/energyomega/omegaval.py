@@ -14,8 +14,7 @@ from typing import Optional, Sequence
 
 from . import energyfn
 from .energyfn import EnergyFunction
-from .errors import ParseError
-from .extlat import ExtValue, RationalLike, as_fraction, json_flag
+from .extlat import ExtValue, RationalLike, as_fraction
 
 
 @dataclass(frozen=True)
@@ -122,16 +121,3 @@ def to_json(v: ThresholdPredicate) -> dict:
     if v.is_never:
         return {"tag": "never"}
     return {"tag": "from", "threshold": str(v.threshold), "inclusive": v.inclusive}
-
-
-def from_json(obj: dict) -> ThresholdPredicate:
-    if not isinstance(obj, dict) or "tag" not in obj:
-        raise ParseError("predicate JSON needs a 'tag'")
-    if obj["tag"] == "never":
-        return NEVER
-    if obj["tag"] == "from":
-        try:
-            return from_threshold(obj["threshold"], json_flag(obj, "inclusive", True))
-        except (KeyError, ValueError) as exc:
-            raise ParseError("bad 'from' predicate") from exc
-    raise ParseError(f"unknown predicate tag {obj['tag']!r}")

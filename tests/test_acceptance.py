@@ -18,6 +18,7 @@ from blockref import block_omega, block_omega_k, block_star, mat_equal
 from conftest import F, fn_pieces, record_criterion
 from test_energyauto import _energies, _random_automaton
 from test_matrixkleene import path_sup
+from witnessref import local_finiteness_witness
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -40,7 +41,7 @@ def _star_matches_witness(f, pts):
             if s.eval(x) != x:
                 return False
             continue
-        rep = energyfn.local_finiteness_witness(f, x, 64)
+        rep = local_finiteness_witness(f, x, 64)
         want = TOP if rep.kind == "diverges" else rep.value
         if s.eval(x) != want:
             return False

@@ -225,6 +225,22 @@ def test_oracle_buchi_nested_pump_regression():
     assert ea.buchi(aut, finite(2), verify=True).answer is False
 
 
+def test_oracle_buchi_top_reach_gains_only_far_up():
+    # s0 pumps itself, so s1 is reached with top; s1's loop 2(x - 2500)
+    # gains only from 5000 on, which the oracle must derive from the edges
+    aut = ea.automaton(
+        ["s0", "s1"],
+        ["s0"],
+        ["s1"],
+        {
+            ("s0", "s0"): shift(1),
+            ("s0", "s1"): identity(),
+            ("s1", "s1"): fn_pieces(2500, [(2500, 0, 2)]),
+        },
+    )
+    assert ea.buchi(aut, finite(0), verify=True).answer is True
+
+
 def test_promotion_waits_for_sweep_n_plus_one():
     # sweeps run over sources in index order, so a chain that descends
     # through the indices advances one edge per sweep and is still

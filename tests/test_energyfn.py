@@ -11,7 +11,6 @@ from energyomega.energyfn import (
     compose,
     identity,
     join,
-    local_finiteness_witness,
     shift,
     star,
     validate,
@@ -26,6 +25,7 @@ from energyomega.errors import (
 from energyomega.extlat import BOTTOM, TOP, ext_join, finite
 
 from conftest import F, fn_pieces
+from witnessref import local_finiteness_witness
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from energyomega.extlat import BOTTOM, TOP, finite
 from energyomega.omegaval import NEVER, from_threshold
 
 from conftest import F, fn_pieces
+import wordref
 
 SAMPLES = [BOTTOM, finite(0), finite(1), F("5/2"), finite(7), TOP]
 
@@ -281,7 +282,7 @@ def test_group_word_out_of_budget_is_unknown():
     # the row sums of M_G* equal (x+y)*, but proving it for these x and y
     # relates more than MAX_EQUALITY_PAIRS pairs of state sets
     any12 = "(a|b)" * 12
-    elements = [wordmodel.parse_regex(f"(a|b)*{c}{any12}", "ab") for c in "ab"]
+    elements = [wordref.parse_regex(f"(a|b)*{c}{any12}", "ab") for c in "ab"]
     report = laws.check_group_identity("C2", elements, "word", bound=4)
     assert report.verdict == "Unknown", report.failures
     assert report.unknowns[0].sample == "language equality exceeds 1024 pairs"

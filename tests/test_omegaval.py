@@ -7,7 +7,6 @@ import pytest
 
 from energyomega import energyfn, laws, omegaval
 from energyomega.energyfn import CONST_BOTTOM, compose, identity, shift, star
-from energyomega.errors import ParseError
 from energyomega.omegaval import (
     NEVER,
     ThresholdPredicate,
@@ -206,26 +205,8 @@ def test_ax0_for_the_pair():
                 assert any(apply(t, x) for t in terms), (f, g, v, x)
 
 
-def test_json_round_trip():
-    _, preds, _ = _corpus(28, 40)
-    for v in preds:
-        assert omegaval.from_json(omegaval.to_json(v)) == v
+def test_to_json():
     assert omegaval.to_json(NEVER) == {"tag": "never"}
-
-
-def test_json_rejects_bad_tags():
-    with pytest.raises(ParseError):
-        omegaval.from_json({"tag": "sometimes"})
-    with pytest.raises(ParseError):
-        omegaval.from_json({"threshold": "3"})
-    with pytest.raises(ParseError):
-        omegaval.from_json({"tag": "from"})
-
-
-@pytest.mark.parametrize("flag", ["false", 0, None])
-def test_json_rejects_non_boolean_inclusive(flag):
-    with pytest.raises(ParseError):
-        omegaval.from_json({"tag": "from", "threshold": "3", "inclusive": flag})
-    assert omegaval.from_json({"tag": "from", "threshold": "3", "inclusive": False}) == (
-        from_threshold(3, inclusive=False)
-    )
+    assert omegaval.to_json(from_threshold(3, inclusive=False)) == {
+        "tag": "from", "threshold": "3", "inclusive": False,
+    }
