@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from . import energyfn, matrixkleene as mk, omegaval
 from .energyfn import EnergyFunction
 from .errors import ParseError, VerificationFailed
 from .extlat import BOTTOM, TOP, ExtValue, ext_join, finite, format_ext
 from .omegaval import NEVER, ThresholdPredicate
+
+# from_json refuses more states than this: the matrix has n^2 entries
+MAX_STATES = 1024
 
 
 @dataclass(frozen=True)
@@ -33,10 +36,10 @@ class EnergyAutomaton:
     def dim(self) -> int:
         return len(self.states)
 
-    def index(self, name: str) -> int:
+    def index(self, name: Hashable) -> int:
         return self.states.index(name)
 
-    def edge(self, src: str, dst: str) -> EnergyFunction:
+    def edge(self, src: Hashable, dst: Hashable) -> EnergyFunction:
         return self.matrix.rows[self.index(src)][self.index(dst)]
 
 
@@ -48,55 +51,32 @@ class QueryResult:
 
 
 def automaton(
-    states: Sequence[str],
-    initial: Sequence[str],
-    accepting: Sequence[str],
-    edges: Dict[Tuple[str, str], EnergyFunction],
+    states: Iterable[Hashable],
+    initial: Iterable[Hashable],
+    accepting: Iterable[Hashable],
+    edges: Iterable[Tuple[Hashable, Hashable, EnergyFunction]],
 ) -> EnergyAutomaton:
+    """The automaton whose entry M[i][j] joins every (src, dst, fn) edge
+    triple from i to j.  State names may be any hashable values."""
     states = tuple(states)
-    if len(states) < 1:
+    index = {name: i for i, name in enumerate(states)}
+    if not states:
         raise ParseError("automaton needs at least one state")
-    if len(set(states)) != len(states):
+    if len(index) != len(states):
         raise ParseError("duplicate state names")
-    for name in list(initial) + list(accepting):
-        if name not in states:
+    initial, accepting = list(initial), list(accepting)
+    for name in initial + accepting:
+        if name not in index:
             raise ParseError(f"unknown state name {name!r}")
     n = len(states)
     rows = [[energyfn.CONST_BOTTOM] * n for _ in range(n)]
-    for (src, dst), fn in edges.items():
-        if src not in states or dst not in states:
+    for src, dst, fn in edges:
+        if src not in index or dst not in index:
             raise ParseError(f"unknown state in edge {src!r} -> {dst!r}")
-        i, j = states.index(src), states.index(dst)
+        i, j = index[src], index[dst]
         rows[i][j] = energyfn.join(rows[i][j], fn)
-    return EnergyAutomaton(
-        states,
-        frozenset(initial),
-        frozenset(accepting),
-        mk.matrix(mk.ENERGY_ALGEBRA, rows),
-    )
-
-
-def canonical_permute(aut: EnergyAutomaton) -> Tuple[EnergyAutomaton, tuple]:
-    """Reorder states so the accepting ones come first.
-
-    Returns the permuted automaton and the permutation as a tuple p with
-    p[new_index] = old_index.  The relative order within each group is
-    preserved, so an already-sorted automaton maps to itself.
-    """
-    order = [i for i, s in enumerate(aut.states) if s in aut.accepting]
-    order += [i for i, s in enumerate(aut.states) if s not in aut.accepting]
-    perm = tuple(order)
-    rows = [
-        [aut.matrix.rows[perm[i]][perm[j]] for j in range(aut.dim)]
-        for i in range(aut.dim)
-    ]
-    permuted = EnergyAutomaton(
-        tuple(aut.states[i] for i in perm),
-        aut.initial,
-        aut.accepting,
-        mk.matrix(mk.ENERGY_ALGEBRA, rows),
-    )
-    return permuted, perm
+    matrix = mk.matrix(mk.ENERGY_ALGEBRA, rows)
+    return EnergyAutomaton(states, frozenset(initial), frozenset(accepting), matrix)
 
 
 def reach_value(aut: EnergyAutomaton) -> EnergyFunction:
@@ -129,13 +109,17 @@ def reachable(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> Query
 
 
 def buchi_value(aut: EnergyAutomaton) -> ThresholdPredicate:
-    permuted, _ = canonical_permute(aut)
-    k = len(permuted.accepting)
-    stacked = mk.mat_omega_k(permuted.matrix, k)
+    """The join over initial states of M^{omega_k}, which counts the runs
+    repeating one of the first k states: a stable sort puts the k
+    accepting states first."""
+    order = sorted(range(aut.dim), key=lambda i: aut.states[i] not in aut.accepting)
+    rows = aut.matrix.rows
+    permuted = mk.matrix(aut.matrix.algebra, [[rows[i][j] for j in order] for i in order])
+    stacked = mk.mat_omega_k(permuted, len(aut.accepting))
     acc = NEVER
-    for i, name in enumerate(permuted.states):
-        if name in permuted.initial:
-            acc = omegaval.vjoin(acc, stacked.entries[i])
+    for entry, i in zip(stacked.entries, order):
+        if aut.states[i] in aut.initial:
+            acc = omegaval.vjoin(acc, entry)
     return acc
 
 
@@ -337,16 +321,17 @@ def from_json(obj: dict) -> EnergyAutomaton:
     for key in ("states", "initial", "accepting"):
         if not isinstance(obj[key], list) or not all(isinstance(s, str) for s in obj[key]):
             raise ParseError(f"{key!r} must be a list of state names")
+    if len(obj["states"]) > MAX_STATES:
+        raise ParseError(f"{len(obj['states'])} states exceed the limit of {MAX_STATES}")
     if not isinstance(obj["edges"], list):
         raise ParseError("'edges' must be a list")
-    edges: Dict[Tuple[str, str], EnergyFunction] = {}
+    edges = []
     for e in obj["edges"]:
         try:
-            key = (e["from"], e["to"])
-            fn = energyfn.from_json(e["fn"])
+            src, dst, fn = e["from"], e["to"], energyfn.from_json(e["fn"])
         except (TypeError, KeyError) as exc:
             raise ParseError("each edge needs from, to and fn") from exc
-        if not all(isinstance(s, str) for s in key):
+        if not (isinstance(src, str) and isinstance(dst, str)):
             raise ParseError("edge endpoints must be state names")
-        edges[key] = energyfn.join(edges[key], fn) if key in edges else fn
+        edges.append((src, dst, fn))
     return automaton(obj["states"], obj["initial"], obj["accepting"], edges)

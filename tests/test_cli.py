@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from energyomega import cli
+from energyomega import cli, energyauto, energyfn
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -70,6 +70,47 @@ def test_malformed_json_is_error(tmp_path, capsys):
     code, _, err = run(capsys, "reach", str(bad), "--energy", "0")
     assert code == 2
     assert "invalid JSON" in err
+
+
+@pytest.mark.parametrize("command", ["reach", "eval"])
+def test_deeply_nested_json_is_error(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10_000 + "]" * 10_000)
+    code, out, err = run(capsys, command, str(deep), "--energy", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "deep.json" in err
+
+
+def _write_automaton(tmp_path, states, edges=()):
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(
+        {"states": states, "initial": states[:1], "accepting": states[1:2], "edges": list(edges)}
+    ))
+    return str(path)
+
+
+def test_reach_joins_parallel_edges(tmp_path, capsys):
+    # a -> b by x - 1 (bottom below 1) and by x + 2: only the second is alive at 0
+    fns = (energyfn.shift(-1), energyfn.shift(2))
+    parallel = [{"from": "a", "to": "b", "fn": energyfn.to_json(fn)} for fn in fns]
+    code, out, _ = run(capsys, "reach", _write_automaton(tmp_path, ["a", "b"], parallel),
+                       "--energy", "0")
+    assert code == 0
+    assert out == "reachable: yes\nvalue: 2\n"
+
+
+def test_state_count_limit(tmp_path, capsys):
+    names = [f"q{i}" for i in range(energyauto.MAX_STATES + 1)]
+    start = time.monotonic()
+    code, out, err = run(capsys, "reach", _write_automaton(tmp_path, names), "--energy", "0")
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "1025 states exceed the limit of 1024" in err
+    code, out, _ = run(capsys, "reach", _write_automaton(tmp_path, names[:-1]), "--energy", "0")
+    assert code == 1
+    assert out == "reachable: no\nvalue: bot\n"
 
 
 def test_bad_energy_is_error(capsys):
