@@ -170,8 +170,7 @@ def _stabilize(
                 for dst in range(n):
                     out = rows[src][dst].eval(energy[src])
                     if out > energy[dst]:
-                        if energy[dst].is_bottom and dst not in pred:
-                            pred[dst] = src
+                        pred[dst] = src
                         energy[dst] = out
                         improved.add(dst)
             if not improved:
@@ -250,14 +249,21 @@ def _top_probe(aut: EnergyAutomaton) -> Fraction:
 
 
 def _witness_path(aut: EnergyAutomaton, pred: Dict[int, int], target: int) -> tuple:
+    """The states from a seed to ``target``, each entered by the edge of
+    its last improvement.
+
+    A finite energy is its predecessor's mapped by that edge, which is
+    strictly increasing where alive, so the predecessor last improved
+    first: the walk back ends at an initial state never improved, and the
+    path replays to the energy exactly.  From a top energy the walk can
+    meet a state twice; it closes that cycle once and stops.
+    """
     path = [target]
-    seen = {target}
-    while aut.states[path[-1]] not in aut.initial:
-        prev = pred.get(path[-1])
-        if prev is None or prev in seen:
+    while (prev := pred.get(path[-1])) is not None:
+        if prev in path:
+            path += path[path.index(prev):]
             break
         path.append(prev)
-        seen.add(prev)
     return tuple(aut.states[i] for i in reversed(path))
 
 
@@ -303,11 +309,11 @@ def to_json(aut: EnergyAutomaton) -> dict:
         for j, dst in enumerate(aut.states):
             fn = aut.matrix.rows[i][j]
             if not fn.is_const_bottom:
-                edges.append({"from": src, "to": dst, "fn": energyfn.to_json(fn)})
+                edges.append({"from": str(src), "to": str(dst), "fn": energyfn.to_json(fn)})
     return {
-        "states": list(aut.states),
-        "initial": sorted(aut.initial, key=aut.states.index),
-        "accepting": sorted(aut.accepting, key=aut.states.index),
+        "states": [str(name) for name in aut.states],
+        "initial": [str(name) for name in aut.states if name in aut.initial],
+        "accepting": [str(name) for name in aut.states if name in aut.accepting],
         "edges": edges,
     }
 

@@ -14,9 +14,16 @@ closed under all operations implemented here.
 Compose, join, star, omega and the action on thresholds are one sweep:
 ``_cells`` reads a law (``EnergyFunction.at``: bottom, top, or a value
 with a slope) at each candidate abscissa where the result can change and
-inside each gap.  ``_sweep`` builds a function from the readings,
-``_first`` stops at the first one that meets a threshold, and
-``_canonical`` is the normal form of results and validated inputs.
+just above it, where the law holds up to the next candidate.  ``_sweep``
+builds a function from the readings, ``_first`` stops at the first one
+that meets a threshold, and ``_canonical`` is the normal form of results
+and validated inputs.  Just above a point lo, a law (v, s) takes the
+values v + s*e for small e > 0, so:
+
+- a compose reads g just above f(lo), since f has slope >= 1;
+- in a join, of two equal values the one with the larger slope wins;
+- f reaches a target y just above lo iff f(lo) >= y, and gains (f(x) > x)
+  iff f(lo) > lo, or f(lo) = lo with slope > 1.
 """
 
 from __future__ import annotations
@@ -78,14 +85,15 @@ class EnergyFunction:
     def is_const_bottom(self) -> bool:
         return self.bottom is None
 
-    def at(self, q: Fraction) -> Law:
-        """The law at a finite abscissa: None (bottom), "top", or (f(q), slope)."""
+    def at(self, q: Fraction, above: bool = False) -> Law:
+        """The law at a finite abscissa, or just above it when ``above``:
+        None (bottom), "top", or (f(q), slope), f(q) being the right limit."""
         if self.bottom is None or q < self.bottom or (
-            q == self.bottom and self.bottom_at_boundary
+            q == self.bottom and self.bottom_at_boundary and not above
         ):
             return None
         if self.top is not None and (
-            q > self.top or (q == self.top and self.top_at_boundary)
+            q > self.top or (q == self.top and (above or self.top_at_boundary))
         ):
             return _TOP_LAW
         p = self.pieces[bisect_right(self.pieces, q, key=_start) - 1]
@@ -229,43 +237,39 @@ def _canonical(
 def _cells(cands: Iterable[Fraction], at) -> Iterator[tuple]:
     """Walk the grid of candidate abscissas (those >= 0, plus 0) upwards.
 
-    For each grid point lo yield ``(lo, None, at(lo))``, then for the gap
-    after it ``(lo, m, at(m))``, where m is the gap's midpoint (lo + 1
-    past the last point).  Lazy, so a search stops at its first hit.
+    For each grid point lo yield ``(lo, False, at(lo, False))``, the law
+    at lo, then ``(lo, True, at(lo, True))``, the law just above lo, which
+    holds up to the next point.  Lazy, so a search stops at its first hit.
     """
-    xs = sorted({q for q in cands if q >= 0} | {_ZERO})
-    for lo, hi in zip(xs, xs[1:] + [None]):
-        yield lo, None, at(lo)
-        m = lo + 1 if hi is None else (lo + hi) / 2
-        yield lo, m, at(m)
+    for lo in sorted({q for q in cands if q >= 0} | {_ZERO}):
+        yield lo, False, at(lo, False)
+        yield lo, True, at(lo, True)
 
 
 def _sweep(cands: Iterable[Fraction], at) -> EnergyFunction:
-    """The canonical function whose law at each finite q is ``at(q)``.
+    """The canonical function whose law at each finite q is ``at(q, False)``.
 
     The law may change only at a candidate, so reading it at every grid
-    point and once inside every gap determines the function.
+    point and just above it determines the function.
     """
     b = t = None
     b_flag = t_flag = False
     pieces: list = []
-    for lo, m, law in _cells(cands, at):
+    for lo, above, law in _cells(cands, at):
         if law is None:
             assert b is None, "non-monotone segment structure"
             continue
         if b is None:
-            b, b_flag = lo, m is not None
+            b, b_flag = lo, above
         if law is _TOP_LAW:
             if t is None:
-                t, t_flag = lo, m is None
+                t, t_flag = lo, not above
             continue
         assert t is None, "non-monotone segment structure"
         c, slope = law
-        if m is not None:
-            c -= slope * (m - lo)
-            if pieces and pieces[-1].start == lo:
-                # the gap after a finite point: the point's value must start it
-                assert pieces.pop().intercept == c, "right-continuity violated at a point"
+        if above and pieces and pieces[-1].start == lo:
+            # the gap after a finite point: the point's value must start it
+            assert pieces.pop().intercept == c, "right-continuity violated at a point"
         pieces.append(Piece(lo, c, slope))
     if b is None:
         return CONST_BOTTOM
@@ -273,11 +277,11 @@ def _sweep(cands: Iterable[Fraction], at) -> EnergyFunction:
 
 
 def _first(cands: Iterable[Fraction], hit) -> Optional[tuple]:
-    """Least (x, inclusive) with ``hit`` true at x (inclusive) or just above it;
-    ``hit`` must hold on an upward-closed set that changes only at candidates."""
-    for lo, m, ok in _cells(cands, hit):
+    """Least (x, inclusive) with ``hit(x, not inclusive)`` true; ``hit`` must
+    hold on an upward-closed set that changes only at candidates."""
+    for lo, above, ok in _cells(cands, hit):
         if ok:
-            return lo, m is None
+            return lo, not above
     return None
 
 
@@ -312,11 +316,14 @@ def _crossings(f: EnergyFunction, g: EnergyFunction) -> list:
     return out
 
 
-def _above(law: Law, y: Fraction, strict: bool) -> bool:
-    """Whether the value a law gives at its point is >= y (> when strict)."""
+def _above(law: Law, y: Fraction, strict: bool, rise: Optional[Fraction]) -> bool:
+    """Whether a law's value is >= y (> when strict).  ``rise`` is None
+    for a reading at the law's point; just above it, y grows at ``rise``
+    and the law at its slope, so a tie goes to the faster."""
     if law is None or law is _TOP_LAW:
         return law is _TOP_LAW
-    return law[0] > y if strict else law[0] >= y
+    got, want = (law[0], y) if rise is None else (law, (y, rise))
+    return got > want if strict else got >= want
 
 
 # ----------------------------------------------------------------------
@@ -328,11 +335,11 @@ def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
     if f.is_const_bottom or g.is_const_bottom:
         return CONST_BOTTOM
 
-    def at(q: Fraction) -> Law:
-        lf = f.at(q)
+    def at(q: Fraction, above: bool) -> Law:
+        lf = f.at(q, above)
         if lf is None or lf is _TOP_LAW:
             return lf
-        lg = g.at(lf[0])
+        lg = g.at(lf[0], above)
         if lg is None or lg is _TOP_LAW:
             return lg
         return lg[0], lf[1] * lg[1]
@@ -348,17 +355,19 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         return f
     cands = f.structure_points() + g.structure_points() + _crossings(f, g)
 
-    def at(q: Fraction) -> Law:
-        lf, lg = f.at(q), g.at(q)
+    def at(q: Fraction, above: bool) -> Law:
+        lf, lg = f.at(q, above), g.at(q, above)
         if lf is _TOP_LAW or lg is _TOP_LAW:
             return _TOP_LAW
         if lf is None or lg is None:
             return lg if lf is None else lf
-        if lf[0] == lg[0]:
-            # unequal slopes mark a crossing, which must be on the grid
-            assert lf[1] == lg[1] or q in cands, "undetected crossing in join"
-            return lf
-        return lf if lf[0] > lg[0] else lg
+        hi, lo = (lf, lg) if lf >= lg else (lg, lf)
+        if above and lo[1] > hi[1]:
+            # the lower law overtakes at x, so the next grid point must come
+            # by x: x is a crossing, or one of the two pieces ends first
+            x = q + (hi[0] - lo[0]) / (lo[1] - hi[1])
+            assert any(q < c <= x for c in cands), "undetected crossing in join"
+        return hi
 
     return _sweep(cands, at)
 
@@ -373,7 +382,7 @@ def threshold_value_reaches(
     """Boundary of {finite x : f(x) >= target} (or > when strict)."""
     return _first(
         f.structure_points() + _preimages(f, [target]),
-        lambda q: _above(f.at(q), target, strict),
+        lambda q, above: _above(f.at(q, above), target, strict, _ZERO if above else None),
     )
 
 
@@ -381,7 +390,7 @@ def threshold_gain_nonneg(f: EnergyFunction, strict: bool) -> Optional[tuple]:
     """Boundary of {finite x : f(x) >= x} (or > when strict)."""
     return _first(
         f.structure_points() + _crossings(f, identity()),
-        lambda q: _above(f.at(q), q, strict),
+        lambda q, above: _above(f.at(q, above), q, strict, _ONE if above else None),
     )
 
 

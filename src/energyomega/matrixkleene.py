@@ -9,6 +9,7 @@ regular-language instance share the same code.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -23,7 +24,9 @@ class StarAlgebra:
 
     ``mul`` is diagrammatic: mul(a, b) follows a by b.  ``act``,
     ``vjoin``, ``vzero`` and ``omega`` are the semimodule's left action,
-    join, zero and the omega power of a semiring element.
+    join, zero and the omega power of a semiring element.  Elements must
+    be hashable, with equal elements giving equal results: the solve
+    keeps each product and join by its operands.
     """
 
     join: Callable[[Any, Any], Any]
@@ -100,9 +103,15 @@ def _solve(M: SquareMatrix, c: Sequence[Any], k: int, act, vjoin, vzero) -> list
     The a_pp^w term, kept only for p < k, carries the runs whose least
     infinitely repeated state is p, so exactly the runs repeating one of
     the first k states count.  Products and joins with a zero are skipped.
+
+    Operand pairs repeat within a solve, so ``mul`` and ``join``, and
+    ``act``/``vjoin`` when they are ``mul``/``join``, keep every result
+    in a dict keyed by the operand pair, which lives as long as the solve.
     """
     alg = M.algebra
-    mul, join, zero = alg.mul, alg.join, alg.zero
+    mul, join, zero = functools.cache(alg.mul), functools.cache(alg.join), alg.zero
+    act = mul if act is alg.mul else act
+    vjoin = join if vjoin is alg.join else vjoin
 
     def is_zero(x) -> bool:
         return x is zero or x == zero

@@ -1,12 +1,15 @@
 """Tests for the command-line interface, including golden outputs."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
-from energyomega import cli, energyauto, energyfn
+from energyomega import cli, energyauto, energyfn, laws
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -185,7 +188,7 @@ def test_negative_cases_is_error(capsys, command):
     assert "non-negative" in captured.err
 
 
-@pytest.mark.parametrize("identity", cli.WORD_IDENTITIES)
+@pytest.mark.parametrize("identity", (*laws.IDENTITIES, "group-C2"))
 @pytest.mark.parametrize("bound", ["0", "-2"])
 def test_wordcheck_non_positive_bound_is_error(capsys, identity, bound):
     with pytest.raises(SystemExit) as exc:
@@ -267,3 +270,20 @@ def test_golden_output(capsys, golden, argv):
     cli.main(argv + ["--format", "json"])
     out = capsys.readouterr().out
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_cli_import_leaves_laws_and_word_model_unloaded():
+    """Queries start without the law suite and the word model; importing
+    them from the package still works."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, energyomega.cli\n"
+        "print(sorted(m for m in ('energyomega.laws', 'energyomega.wordmodel') if m in sys.modules))\n"
+        "from energyomega import *\n"
+        "print(laws is sys.modules['energyomega.laws'], wordmodel.__name__)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "True energyomega.wordmodel"]

@@ -174,6 +174,54 @@ def test_oracle_reach_witness_replays():
     assert path[-1] in aut.accepting
 
 
+def _replay(aut, path, x0):
+    energy = x0
+    for a, b in zip(path, path[1:]):
+        energy = aut.edge(a, b).eval(energy)
+    return energy
+
+
+def test_reach_witness_takes_the_loop():
+    # a -> b is bottom at 1, so the witness must pump a -> a first; the
+    # value is top, which a path cannot replay to, so the loop is closed once
+    aut = ea.automaton(
+        ["a", "b"], ["a"], ["b"], [("a", "a", shift(1)), ("a", "b", shift(-2))]
+    )
+    res = ea.reachable(aut, finite(1), verify=True)
+    assert res.value == TOP
+    assert res.witness == ("a", "a", "b")
+    assert _replay(aut, res.witness, finite(1)) == finite(0)
+
+
+def test_reach_witness_follows_last_improvement():
+    # b comes alive from a at 0, then improves to 6 through c
+    aut = ea.automaton(
+        ["a", "b", "c"],
+        ["a"],
+        ["b"],
+        [("a", "b", shift(-1)), ("a", "c", shift(5)), ("c", "b", identity())],
+    )
+    res = ea.oracle_reach(aut, finite(1))
+    assert res.value == finite(6)
+    assert res.witness == ("a", "c", "b")
+    assert _replay(aut, res.witness, finite(1)) == res.value
+
+
+def test_finite_reach_witnesses_replay_on_criterion_4_corpus():
+    rng = random.Random(103)
+    replayed = 0
+    for _ in range(300):
+        aut = _random_automaton(rng, rng.randint(1, 4))
+        for x in _energies(rng, 10):
+            res = ea.oracle_reach(aut, x)
+            if not res.value.is_finite:
+                continue
+            assert res.witness[0] in aut.initial and res.witness[-1] in aut.accepting
+            assert _replay(aut, res.witness, x) == res.value, (str(aut), x, res)
+            replayed += 1
+    assert replayed > 600
+
+
 def test_oracle_buchi_no_edges():
     assert ea.oracle_buchi(single(), finite(3)).answer is False
 
@@ -390,6 +438,12 @@ def test_json_round_trip():
     for _ in range(20):
         aut = _random_automaton(rng, rng.randint(1, 4))
         assert ea.from_json(ea.to_json(aut)) == aut
+
+
+def test_json_round_trip_renames_states():
+    aut = ea.automaton(range(2), [0], [1], [(0, 1, shift(-1))])
+    renamed = ea.automaton(["0", "1"], ["0"], ["1"], [("0", "1", shift(-1))])
+    assert ea.from_json(ea.to_json(aut)) == renamed
 
 
 def test_json_rejects_malformed():

@@ -1,6 +1,8 @@
 """Tests for generic matrix star/omega over the energy algebra."""
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -143,6 +145,35 @@ def test_dimension_mismatch():
         mat_vec_act(mat_identity(ALG, 2), mk.vector(ALG, [NEVER]))
     with pytest.raises(DimensionMismatch):
         mk.matrix(ALG, [[identity()], [identity()]])
+
+
+def test_solve_computes_each_operand_pair_once():
+    # a ring i -> i+1, i+2 (x - 1) and i -> i-1 (x + 1/2): eliminating a
+    # state multiplies and joins the same few functions over and over
+    calls = Counter()
+
+    def counted(name, op):
+        def run(x, y):
+            calls[name, x, y] += 1
+            return op(x, y)
+
+        return run
+
+    alg = dataclasses.replace(
+        ALG, mul=counted("mul", energyfn.compose), join=counted("join", energyfn.join)
+    )
+    n = 12
+    edges = {1: shift(-1), 2: shift(-1), n - 1: shift(Fraction(1, 2))}
+    rows = [[edges.get((j - i) % n, CONST_BOTTOM) for j in range(n)] for i in range(n)]
+    zeta = [identity()] + [CONST_BOTTOM] * (n - 1)
+    solves = (
+        (lambda A: mk.mat_star_vec(mk.matrix(A, rows), mk.vector(A, zeta)).entries),
+        (lambda A: mk.mat_omega_k(mk.matrix(A, rows), 3).entries),
+    )
+    for solve in solves:
+        calls.clear()
+        assert solve(alg) == solve(ALG)
+        assert calls and max(calls.values()) == 1
 
 
 def test_split_independence():

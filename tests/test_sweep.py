@@ -1,0 +1,91 @@
+"""Differential test of the sweep: ``energyfn`` against the midpoint sweep.
+
+``energyfn`` reads each law just above a candidate; ``sweepref`` reads
+it at the midpoint of each gap.  On random canonical functions every
+operation built on the sweep must give the same function or threshold.
+Breakpoints come at scales 1, 10^3 and 10^6, with top regions, one-point
+last pieces, bottom-to-top steps and slopes as close to 1 as 1001/1000.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, seed, settings, strategies as st
+
+from energyomega import energyfn, omegaval
+from energyomega.omegaval import NEVER, ThresholdPredicate
+
+import sweepref
+
+SCALES = (1, 10**3, 10**6)
+SLOPES = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1001, 1000))
+OFFSETS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3))
+
+
+@st.composite
+def functions(draw, scale):
+    """A canonical energy function whose breakpoints are near multiples of ``scale``."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return energyfn.CONST_BOTTOM
+    bottom = scale * draw(st.integers(0, 3)) + draw(st.sampled_from(OFFSETS))
+    if kind == 1:
+        # the bottom-to-top step, with the boundary on either side
+        at = draw(st.booleans())
+        return energyfn.validate(bottom, at, [], bottom, not at)
+    pieces = []
+    start = bottom
+    value = scale * draw(st.integers(0, 3)) + draw(st.sampled_from(OFFSETS))
+    for _ in range(draw(st.integers(1, 3))):
+        slope = draw(st.sampled_from(SLOPES))
+        pieces.append((start, value, slope))
+        gap = scale * draw(st.integers(1, 3)) + draw(st.sampled_from(OFFSETS))
+        jump = scale * draw(st.integers(0, 1)) + draw(st.sampled_from(OFFSETS))
+        start, value = start + gap, value + slope * gap + jump
+    top, top_at = None, False
+    if draw(st.booleans()):
+        last = pieces[-1][0]
+        top = last + scale * draw(st.integers(0, 2)) + draw(st.sampled_from(OFFSETS))
+        # a top boundary on the last start leaves that piece one point wide
+        top_at = top != last and draw(st.booleans())
+    return energyfn.validate(bottom, False, pieces, top, top_at)
+
+
+@st.composite
+def cases(draw):
+    scale = draw(st.sampled_from(SCALES))
+    f, g = draw(functions(scale)), draw(functions(scale))
+    if draw(st.integers(0, 5)) == 0:
+        v = NEVER
+    else:
+        t = scale * draw(st.integers(0, 8)) + draw(st.sampled_from(OFFSETS))
+        v = ThresholdPredicate(t, draw(st.booleans()))
+    return f, g, v
+
+
+@seed(1501)
+@settings(max_examples=500, deadline=None, database=None)
+@given(cases())
+def test_operations_match_midpoint_sweep(case):
+    f, g, v = case
+    assert energyfn.compose(f, g) == sweepref.compose(f, g)
+    assert energyfn.join(f, g) == sweepref.join(f, g)
+    assert energyfn.star(f) == sweepref.star(f)
+    assert omegaval.act(f, v) == sweepref.act(f, v)
+    assert omegaval.omega(f) == sweepref.omega(f)
+
+
+def test_right_limit_rules():
+    x_then_2x = energyfn.validate(0, False, [(0, 0, 1), (2, 2, 2)])
+    doubling = energyfn.validate(2, False, [(2, 2, 2)])  # 2x - 2, fixed at 2
+    # equal values at 2: just above it the larger slope wins
+    assert energyfn.join(energyfn.identity(), doubling) == x_then_2x
+    # f(2) = 2 with slope 2 gains strictly just above 2, and not at 2
+    assert energyfn.star(doubling) == energyfn.top_from(2, False)
+    assert omegaval.omega(doubling) == ThresholdPredicate(Fraction(2), True)
+    # x + 1 meets g's top boundary 3 at 2: g is read just above 3 there
+    capped = energyfn.top_from(3, False)
+    want = energyfn.validate(0, False, [(0, 1, 1)], 2, False)
+    assert energyfn.compose(energyfn.shift(1), capped) == want
+    assert omegaval.act(energyfn.shift(1), ThresholdPredicate(Fraction(3), False)) == (
+        ThresholdPredicate(Fraction(2), False)
+    )
