@@ -42,30 +42,46 @@ def _emit(args, text_lines, payload) -> None:
             print(line)
 
 
-def _answer(args, result, label: str, shown: str, value) -> int:
-    """Print a reach or buchi answer and return its exit code."""
+def cmd_reach(args) -> int:
+    aut = energyauto.from_json(_load_json(args.automaton))
+    x0 = parse_ext(args.energy)
+    result = energyauto.reachable(aut, x0, verify=args.verify)
+    value = format_ext(result.value)
     payload = {
-        "command": args.command,
+        "command": "reach",
         "energy": args.energy,
         "answer": result.answer,
         "value": value,
         "verified": args.verify,
     }
-    _emit(args, [f"{label}: {'yes' if result.answer else 'no'}", f"value: {shown}"], payload)
+    _emit(
+        args,
+        [f"reachable: {'yes' if result.answer else 'no'}", f"value: {value}"],
+        payload,
+    )
     return EXIT_YES if result.answer else EXIT_NO
-
-
-def cmd_reach(args) -> int:
-    aut = energyauto.from_json(_load_json(args.automaton))
-    result = energyauto.reachable(aut, parse_ext(args.energy), verify=args.verify)
-    value = format_ext(result.value)
-    return _answer(args, result, "reachable", value, value)
 
 
 def cmd_buchi(args) -> int:
     aut = energyauto.from_json(_load_json(args.automaton))
-    result = energyauto.buchi(aut, parse_ext(args.energy), verify=args.verify)
-    return _answer(args, result, "buchi", str(result.value), omegaval.to_json(result.value))
+    x0 = parse_ext(args.energy)
+    result = energyauto.buchi(aut, x0, verify=args.verify)
+    payload = {
+        "command": "buchi",
+        "energy": args.energy,
+        "answer": result.answer,
+        "value": omegaval.to_json(result.value),
+        "verified": args.verify,
+    }
+    _emit(
+        args,
+        [
+            f"buchi: {'yes' if result.answer else 'no'}",
+            f"value: {result.value}",
+        ],
+        payload,
+    )
+    return EXIT_YES if result.answer else EXIT_NO
 
 
 def cmd_star(args) -> int:
@@ -174,16 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    for name, text, func in (
-        ("reach", "reachability with an initial energy", cmd_reach),
-        ("buchi", "repeated-accepting acceptance with an initial energy", cmd_buchi),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("automaton")
-        p.add_argument("--energy", required=True, help='initial energy ("bot", "top", or a rational)')
-        p.add_argument("--verify", action="store_true", help="cross-check against the search oracle")
-        add_common(p)
-        p.set_defaults(func=func)
+    p = sub.add_parser("reach", help="reachability with an initial energy")
+    p.add_argument("automaton")
+    p.add_argument("--energy", required=True, help='initial energy ("bot", "top", or a rational)')
+    p.add_argument("--verify", action="store_true", help="cross-check against the search oracle")
+    add_common(p)
+    p.set_defaults(func=cmd_reach)
+
+    p = sub.add_parser("buchi", help="repeated-accepting acceptance with an initial energy")
+    p.add_argument("automaton")
+    p.add_argument("--energy", required=True)
+    p.add_argument("--verify", action="store_true")
+    add_common(p)
+    p.set_defaults(func=cmd_buchi)
 
     p = sub.add_parser("star", help="star of an energy function")
     p.add_argument("function")

@@ -143,7 +143,7 @@ def buchi(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResu
 
 def _stabilize(
     aut: EnergyAutomaton, energy: Dict[int, ExtValue]
-) -> Tuple[Dict[int, ExtValue], Dict[int, int]]:
+) -> Tuple[Dict[int, ExtValue], Dict[int, tuple]]:
     """Best energy per state over all walks from ``energy``, in place.
 
     Bellman-Ford sweeps in phases, seeded by the energies at the start of
@@ -156,11 +156,12 @@ def _stabilize(
     phase starts.  With at most n promotions the loop ends within
     (n + 1)^2 sweeps, on a sweep that changes nothing: a fixed point
     above the seeds made of walk values and justified tops, which is the
-    supremum.
+    supremum.  Also returns, per live state, the walk of relaxations that
+    last improved it, reversed as a linked list (state, rest) to a seed.
     """
     n = aut.dim
     rows = aut.matrix.rows
-    pred: Dict[int, int] = {}
+    walk = {i: (i, None) for i in range(n) if not energy[i].is_bottom}
     while True:
         for _ in range(n + 1):
             improved = set()
@@ -170,18 +171,18 @@ def _stabilize(
                 for dst in range(n):
                     out = rows[src][dst].eval(energy[src])
                     if out > energy[dst]:
-                        pred[dst] = src
+                        walk[dst] = (dst, walk[src])
                         energy[dst] = out
                         improved.add(dst)
             if not improved:
-                return energy, pred
+                return energy, walk
         for q in improved:
             energy[q] = TOP
 
 
 def _max_energies(
     aut: EnergyAutomaton, x0: ExtValue
-) -> Tuple[Dict[int, ExtValue], Dict[int, int]]:
+) -> Tuple[Dict[int, ExtValue], Dict[int, tuple]]:
     energy = {
         i: (x0 if aut.states[i] in aut.initial else BOTTOM) for i in range(aut.dim)
     }
@@ -248,33 +249,32 @@ def _top_probe(aut: EnergyAutomaton) -> Fraction:
     return 2 * aut.dim * big_z * kappa
 
 
-def _witness_path(aut: EnergyAutomaton, pred: Dict[int, int], target: int) -> tuple:
-    """The states from a seed to ``target``, each entered by the edge of
-    its last improvement.
+def _witness_path(aut: EnergyAutomaton, walk: Dict[int, tuple], target: int) -> tuple:
+    """The states of the walk that last improved ``target``, from a seed.
 
-    A finite energy is its predecessor's mapped by that edge, which is
-    strictly increasing where alive, so the predecessor last improved
-    first: the walk back ends at an initial state never improved, and the
-    path replays to the energy exactly.  From a top energy the walk can
-    meet a state twice; it closes that cycle once and stops.
+    Each step is the relaxation that improved its state, taken at the
+    energy its source had then, so the walk replays those energies
+    exactly up to its first step out of a state promoted to top, which
+    replays that state's last finite energy instead.  Edges map top to
+    top, so a finite energy's walk never meets a promoted state and
+    replays to the energy exactly.
     """
-    path = [target]
-    while (prev := pred.get(path[-1])) is not None:
-        if prev in path:
-            path += path[path.index(prev):]
-            break
-        path.append(prev)
-    return tuple(aut.states[i] for i in reversed(path))
+    path = []
+    node = walk[target]
+    while node is not None:
+        state, node = node
+        path.append(aut.states[state])
+    return tuple(reversed(path))
 
 
 def oracle_reach(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
-    energy, pred = _max_energies(aut, x0)
+    energy, walk = _max_energies(aut, x0)
     best = BOTTOM
     witness = None
     for i, name in enumerate(aut.states):
         if name in aut.accepting and energy[i] > best:
             best = energy[i]
-            witness = _witness_path(aut, pred, i)
+            witness = _witness_path(aut, walk, i)
     return QueryResult(not best.is_bottom, best, witness)
 
 
@@ -288,13 +288,13 @@ def oracle_buchi(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
     derives from the edges does.  So each reached accepting state takes
     one ``_sustained`` call.
     """
-    energy, pred = _max_energies(aut, x0)
+    energy, walk = _max_energies(aut, x0)
     top_probe = finite(_top_probe(aut))
     for i, name in enumerate(aut.states):
         if name not in aut.accepting or energy[i].is_bottom:
             continue
         if _sustained(aut, i, top_probe if energy[i].is_top else energy[i]):
-            prefix = _witness_path(aut, pred, i)
+            prefix = _witness_path(aut, walk, i)
             return QueryResult(True, energy[i], (prefix, (aut.states[i],)))
     return QueryResult(False, BOTTOM, None)
 

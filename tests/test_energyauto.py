@@ -181,16 +181,42 @@ def _replay(aut, path, x0):
     return energy
 
 
+def _alive(aut, path, x0):
+    return all(
+        not _replay(aut, path[: k + 1], x0).is_bottom for k in range(len(path))
+    )
+
+
 def test_reach_witness_takes_the_loop():
     # a -> b is bottom at 1, so the witness must pump a -> a first; the
-    # value is top, which a path cannot replay to, so the loop is closed once
+    # value is top, so the walk stops where a was promoted
     aut = ea.automaton(
         ["a", "b"], ["a"], ["b"], [("a", "a", shift(1)), ("a", "b", shift(-2))]
     )
     res = ea.reachable(aut, finite(1), verify=True)
     assert res.value == TOP
-    assert res.witness == ("a", "a", "b")
-    assert _replay(aut, res.witness, finite(1)) == finite(0)
+    assert res.witness == ("a", "a", "a", "a", "b")
+    assert _replay(aut, res.witness, finite(1)) == finite(2)
+
+
+def test_top_witnesses_start_at_an_initial_state():
+    # the gaining cycle c <-> d sits between the initial state i and t
+    edges = [
+        ("i", "c", identity()),
+        ("c", "d", shift(1)),
+        ("d", "c", shift(1)),
+        ("d", "t", identity()),
+    ]
+    aut = ea.automaton("icdt", "i", "t", edges)
+    res = ea.oracle_reach(aut, finite(0))
+    assert res.value == TOP
+    assert res.witness[:3] == ("i", "c", "d") and res.witness[-1] == "t"
+    assert _alive(aut, res.witness, finite(0))
+    aut = ea.automaton("icdt", "i", "t", [*edges, ("t", "t", identity())])
+    res = ea.oracle_buchi(aut, finite(0))
+    prefix, cycle = res.witness
+    assert prefix[0] == "i" and prefix[-1] == "t" and cycle == ("t",)
+    assert _alive(aut, prefix, finite(0))
 
 
 def test_reach_witness_follows_last_improvement():
@@ -220,6 +246,24 @@ def test_finite_reach_witnesses_replay_on_criterion_4_corpus():
             assert _replay(aut, res.witness, x) == res.value, (str(aut), x, res)
             replayed += 1
     assert replayed > 600
+
+
+def test_all_witnesses_start_at_an_initial_state_on_criterion_4_corpus():
+    # a walk through a state promoted to top replays that state's last
+    # finite energy, so in general it can die after it (a -> a = x + 1,
+    # a -> b = x - 100 at energy 1); none does on this corpus
+    rng = random.Random(103)
+    walks = 0
+    for _ in range(300):
+        aut = _random_automaton(rng, rng.randint(1, 4))
+        for x in _energies(rng, 10):
+            reach, buchi = ea.oracle_reach(aut, x), ea.oracle_buchi(aut, x)
+            for path in (reach.witness, buchi.witness and buchi.witness[0]):
+                if path:
+                    assert path[0] in aut.initial and path[-1] in aut.accepting
+                    assert _alive(aut, path, x), (str(aut), x, path)
+                    walks += 1
+    assert walks > 4000
 
 
 def test_oracle_buchi_no_edges():
