@@ -11,6 +11,7 @@ A state that still improves after n sweeps is promoted to top.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, Optional, Tuple
@@ -19,7 +20,7 @@ from . import energyfn, matrixkleene as mk, omegaval
 from .energyfn import EnergyFunction
 from .errors import ParseError, VerificationFailed
 from .extlat import BOTTOM, TOP, ExtValue, ext_join, finite, format_ext
-from .omegaval import NEVER, ThresholdPredicate
+from .omegaval import ThresholdPredicate
 
 # from_json refuses more states than this: the matrix has n^2 entries
 MAX_STATES = 1024
@@ -79,18 +80,36 @@ def automaton(
     return EnergyAutomaton(states, frozenset(initial), frozenset(accepting), matrix)
 
 
+def _initial_join(
+    aut: EnergyAutomaton, first: frozenset, c: list, k: int, act, vjoin, vzero
+):
+    """The join over the initial states of the greatest v with v = M v + c,
+    counting infinite runs only when they repeat one of the k states in
+    ``first`` (``c``, ``act``, ``vjoin`` and ``vzero`` as in ``mk._solve``).
+
+    The states are ordered: those in ``first``, initial ones leading, then
+    the other initial states, then the rest, each group in state order.
+    v_p depends only on v_j for j < p, so the solve back-substitutes only
+    up to the last initial state.
+    """
+    initial = [name in aut.initial for name in aut.states]
+    order = sorted(
+        range(aut.dim), key=lambda i: (aut.states[i] not in first, not initial[i])
+    )
+    m = max((pos + 1 for pos, i in enumerate(order) if initial[i]), default=0)
+    if m == 0:
+        return vzero
+    rows = aut.matrix.rows
+    permuted = mk.matrix(aut.matrix.algebra, [[rows[i][j] for j in order] for i in order])
+    v = mk._solve(permuted, [c[i] for i in order], k, act, vjoin, vzero, m)
+    return functools.reduce(vjoin, [entry for entry, i in zip(v, order) if initial[i]])
+
+
 def reach_value(aut: EnergyAutomaton) -> EnergyFunction:
     """The single energy function alpha . M* . zeta."""
     alg = aut.matrix.algebra
-    zeta = mk.vector(
-        alg, [alg.one if name in aut.accepting else alg.zero for name in aut.states]
-    )
-    column = mk.mat_star_vec(aut.matrix, zeta)
-    acc = energyfn.CONST_BOTTOM
-    for i, name in enumerate(aut.states):
-        if name in aut.initial:
-            acc = energyfn.join(acc, column.entries[i])
-    return acc
+    zeta = [alg.one if name in aut.accepting else alg.zero for name in aut.states]
+    return _initial_join(aut, frozenset(), zeta, 0, alg.mul, alg.join, alg.zero)
 
 
 def reachable(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResult:
@@ -110,17 +129,12 @@ def reachable(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> Query
 
 def buchi_value(aut: EnergyAutomaton) -> ThresholdPredicate:
     """The join over initial states of M^{omega_k}, which counts the runs
-    repeating one of the first k states: a stable sort puts the k
-    accepting states first."""
-    order = sorted(range(aut.dim), key=lambda i: aut.states[i] not in aut.accepting)
-    rows = aut.matrix.rows
-    permuted = mk.matrix(aut.matrix.algebra, [[rows[i][j] for j in order] for i in order])
-    stacked = mk.mat_omega_k(permuted, len(aut.accepting))
-    acc = NEVER
-    for entry, i in zip(stacked.entries, order):
-        if aut.states[i] in aut.initial:
-            acc = omegaval.vjoin(acc, entry)
-    return acc
+    repeating one of the first k states: the k accepting states come first."""
+    alg = aut.matrix.algebra
+    return _initial_join(
+        aut, aut.accepting, [alg.vzero] * aut.dim, len(aut.accepting),
+        alg.act, alg.vjoin, alg.vzero,
+    )
 
 
 def buchi(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResult:

@@ -12,15 +12,18 @@ breakpoint always belongs to the segment starting there.  This class is
 closed under all operations implemented here.
 
 Compose, join, star, omega and the action on thresholds are one sweep:
-``_cells`` reads a law (``EnergyFunction.at``: bottom, top, or a value
-with a slope) at each candidate abscissa where the result can change and
-just above it, where the law holds up to the next candidate.  ``_sweep``
-builds a function from the readings, ``_first`` stops at the first one
-that meets a threshold, and ``_canonical`` is the normal form of results
-and validated inputs.  Just above a point lo, a law (v, s) takes the
-values v + s*e for small e > 0, so:
+``_cells`` reads two laws (bottom, top, or a value with a slope) at each
+candidate abscissa where the result can change: the law at it, and the
+law just above it, which holds up to the next candidate.  Both come from
+one lookup, ``EnergyFunction.laws_at``: by right-continuity they share
+the value f(lo) and differ only at the bottom and top boundaries.
+``_sweep`` builds a function from the readings, ``_first`` stops at the
+first one that meets a threshold, and ``_canonical`` is the normal form
+of results and validated inputs.  Just above a point lo, a law (v, s)
+takes the values v + s*e for small e > 0, so:
 
-- a compose reads g just above f(lo), since f has slope >= 1;
+- a compose reads g just above f(lo), since f has slope >= 1, so one
+  lookup of g at f(lo) serves both readings;
 - in a join, of two equal values the one with the larger slope wins;
 - f reaches a target y just above lo iff f(lo) >= y, and gains (f(x) > x)
   iff f(lo) > lo, or f(lo) = lo with slope > 1.
@@ -81,40 +84,55 @@ class EnergyFunction:
     top: Optional[Fraction]
     top_at_boundary: bool
 
+    def __hash__(self) -> int:
+        # computed once: the solve's memo hashes its operands on every request
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.bottom, self.bottom_at_boundary, self.pieces, self.top,
+                      self.top_at_boundary))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def is_const_bottom(self) -> bool:
         return self.bottom is None
 
-    def at(self, q: Fraction, above: bool = False) -> Law:
-        """The law at a finite abscissa, or just above it when ``above``:
-        None (bottom), "top", or (f(q), slope), f(q) being the right limit."""
-        if self.bottom is None or q < self.bottom or (
-            q == self.bottom and self.bottom_at_boundary and not above
-        ):
-            return None
-        if self.top is not None and (
-            q > self.top or (q == self.top and (above or self.top_at_boundary))
-        ):
-            return _TOP_LAW
+    def laws_at(self, q: Fraction) -> tuple:
+        """The laws at a finite abscissa and just above it, from one lookup:
+        each None (bottom), "top", or (f(q), slope), f(q) being the right
+        limit.  Where the two agree they are the same object."""
+        b, t = self.bottom, self.top
+        if b is None or q < b:
+            return None, None
+        at_top = t is not None and q >= t
+        if at_top and (self.top_at_boundary or q > t):
+            return _TOP_LAW, _TOP_LAW
+        if self.bottom_at_boundary and q == b:
+            # only the bottom-to-top step has an inclusive bottom boundary
+            return None, _TOP_LAW
         p = self.pieces[bisect_right(self.pieces, q, key=_start) - 1]
-        return p.value_at(q), p.slope
+        law = p.value_at(q), p.slope
+        return law, _TOP_LAW if at_top else law
 
     def eval(self, x: ExtValue) -> ExtValue:
         if x.is_bottom or self.bottom is None:
             return BOTTOM
         if x.is_top:
             return TOP
-        law = self.at(x.value)
+        law = self.laws_at(x.value)[0]
         return BOTTOM if law is None else TOP if law is _TOP_LAW else finite(law[0])
 
     # -- internal geometry helpers -------------------------------------
 
     def structure_points(self) -> list:
-        """Abscissas where the function's law can change."""
+        """Abscissas where the function's law can change, ascending: the
+        piece starts (the first is the bottom boundary), then the top one."""
         if self.bottom is None:
             return []
-        pts = {self.bottom, *(p.start for p in self.pieces)}
-        return sorted(pts if self.top is None else pts | {self.top})
+        pts = [p.start for p in self.pieces] or [self.bottom]
+        if self.top is not None and self.top != pts[-1]:
+            pts.append(self.top)
+        return pts
 
     def piece_intervals(self) -> list:
         """Each piece with the (exclusive) end of its segment, None for unbounded."""
@@ -234,20 +252,27 @@ def _canonical(
 # The sweep: one candidate grid read by every operation
 
 
-def _cells(cands: Iterable[Fraction], at) -> Iterator[tuple]:
+def _cells(cands: Iterable[Fraction], laws_at) -> Iterator[tuple]:
     """Walk the grid of candidate abscissas (those >= 0, plus 0) upwards.
 
-    For each grid point lo yield ``(lo, False, at(lo, False))``, the law
-    at lo, then ``(lo, True, at(lo, True))``, the law just above lo, which
-    holds up to the next point.  Lazy, so a search stops at its first hit.
+    For each grid point lo, ``laws_at(lo)`` gives the law at lo and the law
+    just above lo, which holds up to the next point: yield ``(lo, False,
+    law at lo)``, then ``(lo, True, law above lo)``.  Duplicates are dropped
+    by comparing sorted neighbours, since hashing a Fraction costs more.
+    Lazy, so a search stops at its first hit.
     """
-    for lo in sorted({q for q in cands if q >= 0} | {_ZERO}):
-        yield lo, False, at(lo, False)
-        yield lo, True, at(lo, True)
+    xs = [_ZERO]
+    xs += sorted(q for q in cands if q > 0)
+    for i, lo in enumerate(xs):
+        if i and lo == xs[i - 1]:
+            continue
+        here, above = laws_at(lo)
+        yield lo, False, here
+        yield lo, True, above
 
 
-def _sweep(cands: Iterable[Fraction], at) -> EnergyFunction:
-    """The canonical function whose law at each finite q is ``at(q, False)``.
+def _sweep(cands: Iterable[Fraction], laws_at) -> EnergyFunction:
+    """The canonical function whose law at each finite q is ``laws_at(q)[0]``.
 
     The law may change only at a candidate, so reading it at every grid
     point and just above it determines the function.
@@ -255,7 +280,7 @@ def _sweep(cands: Iterable[Fraction], at) -> EnergyFunction:
     b = t = None
     b_flag = t_flag = False
     pieces: list = []
-    for lo, above, law in _cells(cands, at):
+    for lo, above, law in _cells(cands, laws_at):
         if law is None:
             assert b is None, "non-monotone segment structure"
             continue
@@ -276,11 +301,12 @@ def _sweep(cands: Iterable[Fraction], at) -> EnergyFunction:
     return _canonical(b, b_flag, pieces, t, t_flag)
 
 
-def _first(cands: Iterable[Fraction], hit) -> Optional[tuple]:
-    """Least (x, inclusive) with ``hit(x, not inclusive)`` true; ``hit`` must
-    hold on an upward-closed set that changes only at candidates."""
-    for lo, above, ok in _cells(cands, hit):
-        if ok:
+def _first(cands: Iterable[Fraction], f: EnergyFunction, hit) -> Optional[tuple]:
+    """Least (x, inclusive) with ``hit(law, x, not inclusive)`` true for the
+    law of f read at x (or just above it); ``hit`` must hold on an
+    upward-closed set that changes only at candidates."""
+    for lo, above, law in _cells(cands, f.laws_at):
+        if hit(law, lo, above):
             return lo, not above
     return None
 
@@ -330,21 +356,29 @@ def _above(law: Law, y: Fraction, strict: bool, rise: Optional[Fraction]) -> boo
 # Semiring operations
 
 
+def _then(lf: Law, lg: Law) -> Law:
+    """The law of f then g, from f's law and g's law at (or above) f's value."""
+    if lf is None or lf is _TOP_LAW:
+        return lf
+    if lg is None or lg is _TOP_LAW:
+        return lg
+    return lg[0], lf[1] * lg[1]
+
+
 def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
     """Diagrammatic composition: first f, then g."""
     if f.is_const_bottom or g.is_const_bottom:
         return CONST_BOTTOM
 
-    def at(q: Fraction, above: bool) -> Law:
-        lf = f.at(q, above)
-        if lf is None or lf is _TOP_LAW:
-            return lf
-        lg = g.at(lf[0], above)
-        if lg is None or lg is _TOP_LAW:
-            return lg
-        return lg[0], lf[1] * lg[1]
+    def laws_at(q: Fraction) -> tuple:
+        lf, lf_up = f.laws_at(q)
+        if lf is None or lf is _TOP_LAW:  # then lf_up is bottom or top too
+            return lf, lf_up
+        lg, lg_up = g.laws_at(lf[0])  # f(q) is also f's value just above q
+        here = _then(lf, lg)
+        return here, here if lf_up is lf and lg_up is lg else _then(lf_up, lg_up)
 
-    return _sweep(f.structure_points() + _preimages(f, g.structure_points()), at)
+    return _sweep(f.structure_points() + _preimages(f, g.structure_points()), laws_at)
 
 
 def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
@@ -355,21 +389,26 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         return f
     cands = f.structure_points() + g.structure_points() + _crossings(f, g)
 
-    def at(q: Fraction, above: bool) -> Law:
-        lf, lg = f.at(q, above), g.at(q, above)
+    def higher(lf: Law, lg: Law, q: Optional[Fraction]) -> Law:
+        """The larger law; ``q`` is set for the reading just above q."""
         if lf is _TOP_LAW or lg is _TOP_LAW:
             return _TOP_LAW
         if lf is None or lg is None:
             return lg if lf is None else lf
         hi, lo = (lf, lg) if lf >= lg else (lg, lf)
-        if above and lo[1] > hi[1]:
+        if q is not None and lo[1] > hi[1]:
             # the lower law overtakes at x, so the next grid point must come
             # by x: x is a crossing, or one of the two pieces ends first
             x = q + (hi[0] - lo[0]) / (lo[1] - hi[1])
             assert any(q < c <= x for c in cands), "undetected crossing in join"
         return hi
 
-    return _sweep(cands, at)
+    def laws_at(q: Fraction) -> tuple:
+        (lf, lf_up), (lg, lg_up) = f.laws_at(q), g.laws_at(q)
+        up = higher(lf_up, lg_up, q)
+        return up if lf is lf_up and lg is lg_up else higher(lf, lg, None), up
+
+    return _sweep(cands, laws_at)
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +421,8 @@ def threshold_value_reaches(
     """Boundary of {finite x : f(x) >= target} (or > when strict)."""
     return _first(
         f.structure_points() + _preimages(f, [target]),
-        lambda q, above: _above(f.at(q, above), target, strict, _ZERO if above else None),
+        f,
+        lambda law, q, above: _above(law, target, strict, _ZERO if above else None),
     )
 
 
@@ -390,7 +430,8 @@ def threshold_gain_nonneg(f: EnergyFunction, strict: bool) -> Optional[tuple]:
     """Boundary of {finite x : f(x) >= x} (or > when strict)."""
     return _first(
         f.structure_points() + _crossings(f, identity()),
-        lambda q, above: _above(f.at(q, above), q, strict, _ONE if above else None),
+        f,
+        lambda law, q, above: _above(law, q, strict, _ONE if above else None),
     )
 
 

@@ -88,9 +88,9 @@ def vector(algebra: StarAlgebra, entries: Sequence[Any]) -> ColumnVector:
     return ColumnVector(algebra, tuple(entries))
 
 
-def _solve(M: SquareMatrix, c: Sequence[Any], k: int, act, vjoin, vzero) -> list:
-    """Greatest v with v = M v + c, counting infinite runs only when they
-    repeat one of the first k states.
+def _solve(M: SquareMatrix, c: Sequence[Any], k: int, act, vjoin, vzero, m: int) -> list:
+    """Entries v_0 ... v_{m-1} of the greatest v with v = M v + c,
+    counting infinite runs only when they repeat one of the first k states.
 
     ``act``/``vjoin``/``vzero`` act on the vector entries: the semiring's
     own ``mul``/``join``/``zero`` for M* c, the semimodule's for omega.
@@ -103,6 +103,9 @@ def _solve(M: SquareMatrix, c: Sequence[Any], k: int, act, vjoin, vzero) -> list
     The a_pp^w term, kept only for p < k, carries the runs whose least
     infinitely repeated state is p, so exactly the runs repeating one of
     the first k states count.  Products and joins with a zero are skipped.
+    v_p depends only on v_j for j < p, so back-substitution stops after
+    v_{m-1}: the automaton queries read only the initial states' entries
+    and put those states first (m = n gives the whole vector).
 
     Operand pairs repeat within a solve, so ``mul`` and ``join``, and
     ``act``/``vjoin`` when they are ``mul``/``join``, keep every result
@@ -151,7 +154,7 @@ def _solve(M: SquareMatrix, c: Sequence[Any], k: int, act, vjoin, vzero) -> list
         solved.append((d, row))
 
     v: list = []
-    for d, row in reversed(solved):
+    for d, row in reversed(solved[M.dim - m:]):
         for j, y in row:
             if not is_vzero(v[j]):
                 d = vadd(d, act(y, v[j]))
@@ -164,7 +167,7 @@ def mat_star_vec(M: SquareMatrix, c: ColumnVector) -> ColumnVector:
     if M.dim != c.dim:
         raise DimensionMismatch(f"matrix {M.dim} vs vector {c.dim}")
     alg = M.algebra
-    return vector(alg, _solve(M, c.entries, 0, alg.mul, alg.join, alg.zero))
+    return vector(alg, _solve(M, c.entries, 0, alg.mul, alg.join, alg.zero, M.dim))
 
 
 def mat_star(M: SquareMatrix) -> SquareMatrix:
@@ -184,7 +187,7 @@ def mat_star(M: SquareMatrix) -> SquareMatrix:
         return tuple(map(join, r, s))
 
     unit_rows = [tuple(alg.one if i == j else zero for j in range(n)) for i in range(n)]
-    return matrix(alg, _solve(M, unit_rows, 0, act, vjoin, (zero,) * n))
+    return matrix(alg, _solve(M, unit_rows, 0, act, vjoin, (zero,) * n, n))
 
 
 def mat_omega(M: SquareMatrix) -> ColumnVector:
@@ -198,4 +201,4 @@ def mat_omega_k(M: SquareMatrix, k: int) -> ColumnVector:
     n = M.dim
     if not 0 <= k <= n:
         raise BadAcceptingCount(f"k={k} out of range for dimension {n}")
-    return vector(alg, _solve(M, [alg.vzero] * n, k, alg.act, alg.vjoin, alg.vzero))
+    return vector(alg, _solve(M, [alg.vzero] * n, k, alg.act, alg.vjoin, alg.vzero, n))

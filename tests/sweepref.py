@@ -95,10 +95,10 @@ def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         return CONST_BOTTOM
 
     def at(q: Fraction) -> Law:
-        lf = f.at(q)
+        lf = f.laws_at(q)[0]
         if lf is None or lf is _TOP_LAW:
             return lf
-        lg = g.at(lf[0])
+        lg = g.laws_at(lf[0])[0]
         if lg is None or lg is _TOP_LAW:
             return lg
         return lg[0], lf[1] * lg[1]
@@ -115,7 +115,7 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
     cands = f.structure_points() + g.structure_points() + _crossings(f, g)
 
     def at(q: Fraction) -> Law:
-        lf, lg = f.at(q), g.at(q)
+        lf, lg = f.laws_at(q)[0], g.laws_at(q)[0]
         if lf is _TOP_LAW or lg is _TOP_LAW:
             return _TOP_LAW
         if lf is None or lg is None:
@@ -135,7 +135,7 @@ def threshold_value_reaches(
     """Boundary of {finite x : f(x) >= target} (or > when strict)."""
     return _first(
         f.structure_points() + _preimages(f, [target]),
-        lambda q: _above(f.at(q), target, strict),
+        lambda q: _above(f.laws_at(q)[0], target, strict),
     )
 
 
@@ -143,7 +143,7 @@ def threshold_gain_nonneg(f: EnergyFunction, strict: bool) -> Optional[tuple]:
     """Boundary of {finite x : f(x) >= x} (or > when strict)."""
     return _first(
         f.structure_points() + _crossings(f, identity()),
-        lambda q: _above(f.at(q), q, strict),
+        lambda q: _above(f.laws_at(q)[0], q, strict),
     )
 
 

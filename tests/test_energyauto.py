@@ -1,6 +1,9 @@
 """Tests for energy automata and their brute-force oracles."""
 
+import dataclasses
+import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -418,6 +421,36 @@ def test_queries_match_block_reference_large_n():
                 if aut.states[i] in aut.initial:
                     want = omegaval.vjoin(want, entry)
             assert ea.buchi_value(aut) == want
+
+
+def test_truncated_solve_matches_full_vector():
+    # the queries back-substitute only up to the last initial state; the
+    # join over the initial entries of the whole vector must agree with
+    # no, one or several initial states anywhere, accepting ones included
+    rng = random.Random(1201)
+    kinds = Counter()
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        aut = _random_automaton(rng, n)
+        alg, rows = aut.matrix.algebra, aut.matrix.rows
+        zeta = [alg.one if s in aut.accepting else alg.zero for s in aut.states]
+        column = mk.mat_star_vec(aut.matrix, mk.vector(alg, zeta)).entries
+        order = sorted(range(n), key=lambda i: aut.states[i] not in aut.accepting)
+        permuted = mk.matrix(alg, [[rows[i][j] for j in order] for i in order])
+        stacked = mk.mat_omega_k(permuted, len(aut.accepting)).entries
+        omega = {i: entry for i, entry in zip(order, stacked)}
+        picks = [set(), *({s} for s in aut.states), set(aut.states)]
+        picks.append(set(rng.sample(aut.states, rng.randint(1, n))))
+        for initial in picks:
+            one = dataclasses.replace(aut, initial=frozenset(initial))
+            idx = [i for i, s in enumerate(aut.states) if s in initial]
+            want_reach = functools.reduce(energyfn.join, [column[i] for i in idx], CONST_BOTTOM)
+            want_buchi = functools.reduce(omegaval.vjoin, [omega[i] for i in idx], NEVER)
+            assert ea.reach_value(one) == want_reach
+            assert ea.buchi_value(one) == want_buchi
+            kinds[len(initial) if len(initial) < 2 else "several"] += 1
+            kinds["accepting initial"] += bool(initial & aut.accepting)
+    assert min(kinds.values()) >= 20
 
 
 def test_verify_on_sparse_rings_at_large_n():

@@ -151,11 +151,15 @@ def test_solve_computes_each_operand_pair_once():
     # a ring i -> i+1, i+2 (x - 1) and i -> i-1 (x + 1/2): eliminating a
     # state multiplies and joins the same few functions over and over
     calls = Counter()
+    products = []  # every product's result, in order
 
     def counted(name, op):
         def run(x, y):
             calls[name, x, y] += 1
-            return op(x, y)
+            out = op(x, y)
+            if name == "mul":
+                products.append(out)
+            return out
 
         return run
 
@@ -174,6 +178,16 @@ def test_solve_computes_each_operand_pair_once():
         calls.clear()
         assert solve(alg) == solve(ALG)
         assert calls and max(calls.values()) == 1
+    # with state 0 the only initial one, reach_value reads only v_0, which
+    # the last elimination step yields: no back-substitution product follows
+    calls.clear()
+    products.clear()
+    aut = energyauto.EnergyAutomaton(
+        tuple(range(n)), frozenset({0}), frozenset({0}), mk.matrix(alg, rows)
+    )
+    value = energyauto.reach_value(aut)
+    assert max(calls.values()) == 1 and products[-1] == value
+    assert value == mk.mat_star_vec(mk.matrix(ALG, rows), mk.vector(ALG, zeta)).entries[0]
 
 
 def test_split_independence():

@@ -89,3 +89,24 @@ def test_right_limit_rules():
     assert omegaval.act(energyfn.shift(1), ThresholdPredicate(Fraction(3), False)) == (
         ThresholdPredicate(Fraction(2), False)
     )
+
+
+def test_laws_at_boundaries():
+    # (law at q, law just above q) at and around each boundary
+    dies_below_2 = energyfn.shift(-2)
+    x_then_2x = energyfn.validate(0, False, [(0, 0, 1), (2, 2, 2)])
+    one_point_last = energyfn.validate(0, False, [(0, 0, 1), (2, 5, 1)], 2, False)
+    cases = [
+        (dies_below_2, 1, None, None),  # below bottom
+        (dies_below_2, 2, (0, 1), (0, 1)),  # exclusive bottom
+        (energyfn.validate(1, True, [], 1, False), 1, None, "top"),  # bottom-to-top step
+        (energyfn.validate(1, False, [], 1, True), 1, "top", "top"),  # the other flag
+        (x_then_2x, 2, (2, 2), (2, 2)),  # a piece start
+        (x_then_2x, 3, (4, 2), (4, 2)),  # inside a piece
+        (one_point_last, 2, (5, 1), "top"),  # one-point last segment at top
+        (energyfn.top_from(3, True), 3, "top", "top"),  # inclusive top
+        (energyfn.top_from(3, False), 3, (3, 1), "top"),  # exclusive top
+        (energyfn.top_from(3, False), 4, "top", "top"),  # above top
+    ]
+    for f, q, here, above in cases:
+        assert f.laws_at(Fraction(q)) == (here, above)
