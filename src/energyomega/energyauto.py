@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from . import energyfn, matrixkleene as mk, omegaval
 from .energyfn import EnergyFunction
 from .errors import ParseError, VerificationFailed
-from .extlat import BOTTOM, TOP, ExtValue, ext_join, finite, format_ext
+from .extlat import BOTTOM, TOP, ExtValue, Rational, div, ext_join, finite, format_ext
 from .omegaval import ThresholdPredicate
 
 # from_json refuses more states than this: the matrix has n^2 entries
@@ -219,7 +218,7 @@ def _sustained(aut: EnergyAutomaton, s: int, z: ExtValue) -> bool:
     return energy[s] >= z
 
 
-def _top_probe(aut: EnergyAutomaton) -> Fraction:
+def _top_probe(aut: EnergyAutomaton) -> Rational:
     """An energy z* at which every state that sustains at all sustains.
 
     z* = 2 n Z kappa, where Z is 1 plus the largest structure point of any
@@ -254,12 +253,12 @@ def _top_probe(aut: EnergyAutomaton) -> Fraction:
     Each bound is at most z*.
     """
     live = [f for row in aut.matrix.rows for f in row if not f.is_const_bottom]
-    big_z = 1 + max((f.structure_points()[-1] for f in live), default=Fraction(0))
+    big_z = 1 + max((f.structure_points()[-1] for f in live), default=0)
     m = min(
         (f.pieces[-1].slope for f in live if f.top is None and f.pieces[-1].slope > 1),
         default=None,
     )
-    kappa = 1 if m is None else m / (m - 1)
+    kappa = 1 if m is None else div(m, m - 1)
     return 2 * aut.dim * big_z * kappa
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -44,10 +43,12 @@ from .errors import (
     ParseError,
     SlopeTooSmall,
 )
-from .extlat import BOTTOM, TOP, ExtValue, RationalLike, as_fraction, finite, json_flag
+from .extlat import (
+    BOTTOM, TOP, ExtValue, Rational, RationalLike, as_fraction, div, finite, json_flag,
+)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 # Law of a function at a finite point x: None for bottom, "top" for top,
 # or (v, s) meaning value v at x, and v + s*(y - x) just above x.
@@ -56,11 +57,13 @@ Law = Union[None, str, tuple]
 
 
 class Piece(NamedTuple):
-    start: Fraction
-    intercept: Fraction
-    slope: Fraction
+    """An affine segment; each field an exact rational (``extlat.Rational``)."""
 
-    def value_at(self, x: Fraction) -> Fraction:
+    start: Rational
+    intercept: Rational
+    slope: Rational
+
+    def value_at(self, x: Rational) -> Rational:
         return self.intercept + self.slope * (x - self.start)
 
 
@@ -76,12 +79,14 @@ class EnergyFunction:
     follows ``pieces`` on the finite region, and is top above ``top``
     (and at it iff ``top_at_boundary``).  Instances are built by the
     module-level constructors and operations; invariants are assumed.
+    Boundaries and piece fields are exact rationals: an int when
+    integral, else a Fraction (``extlat.Rational``).
     """
 
-    bottom: Optional[Fraction]
+    bottom: Optional[Rational]
     bottom_at_boundary: bool
     pieces: tuple
-    top: Optional[Fraction]
+    top: Optional[Rational]
     top_at_boundary: bool
 
     def __hash__(self) -> int:
@@ -97,7 +102,7 @@ class EnergyFunction:
     def is_const_bottom(self) -> bool:
         return self.bottom is None
 
-    def laws_at(self, q: Fraction) -> tuple:
+    def laws_at(self, q: Rational) -> tuple:
         """The laws at a finite abscissa and just above it, from one lookup:
         each None (bottom), "top", or (f(q), slope), f(q) being the right
         limit.  Where the two agree they are the same object."""
@@ -231,7 +236,7 @@ def validate(
 
 
 def _canonical(
-    b: Fraction, b_flag: bool, pieces: list, t: Optional[Fraction], t_flag: bool
+    b: Rational, b_flag: bool, pieces: list, t: Optional[Rational], t_flag: bool
 ) -> EnergyFunction:
     """The canonical function with these boundaries and valid pieces: a one-point
     last segment (start == t) folds into its predecessor when that reaches the
@@ -252,7 +257,7 @@ def _canonical(
 # The sweep: one candidate grid read by every operation
 
 
-def _cells(cands: Iterable[Fraction], laws_at) -> Iterator[tuple]:
+def _cells(cands: Iterable[Rational], laws_at) -> Iterator[tuple]:
     """Walk the grid of candidate abscissas (those >= 0, plus 0) upwards.
 
     For each grid point lo, ``laws_at(lo)`` gives the law at lo and the law
@@ -271,7 +276,7 @@ def _cells(cands: Iterable[Fraction], laws_at) -> Iterator[tuple]:
         yield lo, True, above
 
 
-def _sweep(cands: Iterable[Fraction], laws_at) -> EnergyFunction:
+def _sweep(cands: Iterable[Rational], laws_at) -> EnergyFunction:
     """The canonical function whose law at each finite q is ``laws_at(q)[0]``.
 
     The law may change only at a candidate, so reading it at every grid
@@ -301,7 +306,7 @@ def _sweep(cands: Iterable[Fraction], laws_at) -> EnergyFunction:
     return _canonical(b, b_flag, pieces, t, t_flag)
 
 
-def _first(cands: Iterable[Fraction], f: EnergyFunction, hit) -> Optional[tuple]:
+def _first(cands: Iterable[Rational], f: EnergyFunction, hit) -> Optional[tuple]:
     """Least (x, inclusive) with ``hit(law, x, not inclusive)`` true for the
     law of f read at x (or just above it); ``hit`` must hold on an
     upward-closed set that changes only at candidates."""
@@ -311,12 +316,12 @@ def _first(cands: Iterable[Fraction], f: EnergyFunction, hit) -> Optional[tuple]
     return None
 
 
-def _preimages(f: EnergyFunction, ys: Sequence[Fraction]) -> list:
+def _preimages(f: EnergyFunction, ys: Sequence[Rational]) -> list:
     """Abscissas where a piece of f takes one of the values ``ys``."""
     out = []
     for p, end in f.piece_intervals():
         for y in ys:
-            x = p.start + (y - p.intercept) / p.slope
+            x = p.start + div(y - p.intercept, p.slope)
             if x >= p.start and (end is None or x <= end):
                 out.append(x)
     return out
@@ -336,13 +341,13 @@ def _crossings(f: EnergyFunction, g: EnergyFunction) -> list:
             hi = e1 if e2 is None else e2 if e1 is None else min(e1, e2)
             if hi is not None and lo > hi:
                 continue
-            x = (k2 - p.intercept + p.slope * p.start) / (p.slope - s2)
+            x = div(k2 - p.intercept + p.slope * p.start, p.slope - s2)
             if x >= lo and (hi is None or x <= hi):
                 out.append(x)
     return out
 
 
-def _above(law: Law, y: Fraction, strict: bool, rise: Optional[Fraction]) -> bool:
+def _above(law: Law, y: Rational, strict: bool, rise: Optional[Rational]) -> bool:
     """Whether a law's value is >= y (> when strict).  ``rise`` is None
     for a reading at the law's point; just above it, y grows at ``rise``
     and the law at its slope, so a tie goes to the faster."""
@@ -370,7 +375,7 @@ def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
     if f.is_const_bottom or g.is_const_bottom:
         return CONST_BOTTOM
 
-    def laws_at(q: Fraction) -> tuple:
+    def laws_at(q: Rational) -> tuple:
         lf, lf_up = f.laws_at(q)
         if lf is None or lf is _TOP_LAW:  # then lf_up is bottom or top too
             return lf, lf_up
@@ -389,7 +394,7 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         return f
     cands = f.structure_points() + g.structure_points() + _crossings(f, g)
 
-    def higher(lf: Law, lg: Law, q: Optional[Fraction]) -> Law:
+    def higher(lf: Law, lg: Law, q: Optional[Rational]) -> Law:
         """The larger law; ``q`` is set for the reading just above q."""
         if lf is _TOP_LAW or lg is _TOP_LAW:
             return _TOP_LAW
@@ -399,11 +404,11 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         if q is not None and lo[1] > hi[1]:
             # the lower law overtakes at x, so the next grid point must come
             # by x: x is a crossing, or one of the two pieces ends first
-            x = q + (hi[0] - lo[0]) / (lo[1] - hi[1])
+            x = q + div(hi[0] - lo[0], lo[1] - hi[1])
             assert any(q < c <= x for c in cands), "undetected crossing in join"
         return hi
 
-    def laws_at(q: Fraction) -> tuple:
+    def laws_at(q: Rational) -> tuple:
         (lf, lf_up), (lg, lg_up) = f.laws_at(q), g.laws_at(q)
         up = higher(lf_up, lg_up, q)
         return up if lf is lf_up and lg is lg_up else higher(lf, lg, None), up
@@ -416,7 +421,7 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
 
 
 def threshold_value_reaches(
-    f: EnergyFunction, target: Fraction, strict: bool
+    f: EnergyFunction, target: Rational, strict: bool
 ) -> Optional[tuple]:
     """Boundary of {finite x : f(x) >= target} (or > when strict)."""
     return _first(

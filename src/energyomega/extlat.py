@@ -13,6 +13,9 @@ from typing import Union
 
 from .errors import ParseError
 
+# An exact rational: an int when integral, else a Fraction with denominator > 1.
+# Divide two of them with ``div``, or ``Fraction(a, b)``: int / int is a float.
+Rational = Union[int, Fraction]
 RationalLike = Union[int, str, Fraction]
 
 # Fraction("1e999999999") would build a billion-digit integer.
@@ -31,7 +34,7 @@ class ExtValue:
 
     __slots__ = ("_rank", "_value")
 
-    def __init__(self, rank: int, value: Fraction | None):
+    def __init__(self, rank: int, value: Rational | None):
         self._rank = rank
         self._value = value
 
@@ -48,7 +51,7 @@ class ExtValue:
         return self._rank == _FIN_RANK
 
     @property
-    def value(self) -> Fraction:
+    def value(self) -> Rational:
         if self._value is None:
             raise ValueError("no finite value on bottom/top")
         return self._value
@@ -76,16 +79,15 @@ BOTTOM = ExtValue(_BOT_RANK, None)
 TOP = ExtValue(_TOP_RANK, None)
 
 
-def as_fraction(q: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to an exact Fraction.
+def as_fraction(q: RationalLike) -> Rational:
+    """Coerce ints, Fractions and "p/q" strings to an exact rational: an
+    int when integral, else a Fraction.
 
     A bool is an int to Python but a JSON ``true``/``false`` here, so it
     is rejected.
     """
-    if isinstance(q, Fraction):
-        return q
     if isinstance(q, int) and not isinstance(q, bool):
-        return Fraction(q)
+        return int(q)
     if isinstance(q, str):
         exp = _EXPONENT.search(q)
         if len(q) > MAX_LITERAL_CHARS or exp and abs(int(exp[1])) > MAX_LITERAL_EXPONENT:
@@ -94,10 +96,25 @@ def as_fraction(q: RationalLike) -> Fraction:
                 f"or its exponent over {MAX_LITERAL_EXPONENT}"
             )
         try:
-            return Fraction(q)
+            return int(q)  # most literals are integers, and int parses them in C
+        except ValueError:
+            pass
+        try:
+            q = Fraction(q)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {q!r}") from exc
-    raise ParseError(f"cannot interpret {q!r} as a rational")
+    elif not isinstance(q, Fraction):
+        raise ParseError(f"cannot interpret {q!r} as a rational")
+    return q.numerator if q.denominator == 1 else q
+
+
+def div(a: Rational, b: Rational) -> Rational:
+    """The exact quotient a / b: an int when integral, else a Fraction."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b  # a Fraction on either side keeps it exact
+    return q.numerator if q.denominator == 1 else q
 
 
 def json_flag(obj: dict, key: str, default: bool) -> bool:

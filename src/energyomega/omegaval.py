@@ -9,19 +9,18 @@ and infinite products of lasso-shaped sequences land here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import energyfn
 from .energyfn import EnergyFunction
-from .extlat import ExtValue, RationalLike, as_fraction
+from .extlat import ExtValue, Rational, RationalLike, as_fraction
 
 
 @dataclass(frozen=True)
 class ThresholdPredicate:
     """Never (constant bottom) or From(threshold, inclusive)."""
 
-    threshold: Optional[Fraction]  # None encodes Never
+    threshold: Optional[Rational]  # None encodes Never
     inclusive: bool = True
 
     @property

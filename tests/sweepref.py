@@ -37,7 +37,7 @@ def _cells(cands: Iterable[Fraction], at) -> Iterator[tuple]:
     xs = sorted({q for q in cands if q >= 0} | {_ZERO})
     for lo, hi in zip(xs, xs[1:] + [None]):
         yield lo, None, at(lo)
-        m = lo + 1 if hi is None else (lo + hi) / 2
+        m = lo + 1 if hi is None else Fraction(lo + hi, 2)
         yield lo, m, at(m)
 
 

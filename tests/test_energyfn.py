@@ -282,7 +282,7 @@ def test_compose_join_pointwise():
         # random points seldom land on a breakpoint: also read every
         # structure point and the middle of every gap between them
         grid = sorted({q for h in (f, g, c, j) for q in h.structure_points()})
-        mids = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])]
+        mids = [Fraction(lo + hi, 2) for lo, hi in zip(grid, grid[1:])]
         mids += [q + 1 for q in grid[-1:]]
         for x in pts + [finite(q) for q in grid + mids]:
             assert c.eval(x) == g.eval(f.eval(x))
