@@ -2,7 +2,7 @@
 
 The algebraic route answers queries through one elimination solve in
 ``matrixkleene``: the column M* zeta for reachability, and the omega
-vector restricted to the accepting states for Buchi acceptance.  The
+vector over M with the accepting columns flagged for Buchi acceptance.  The
 oracle route never composes functions: it evaluates edges on exact
 energies and relaxes the best energy per state over all walks
 (Bellman-Ford), which is sound because all edge functions are monotone.
@@ -79,36 +79,26 @@ def automaton(
     return EnergyAutomaton(states, frozenset(initial), frozenset(accepting), matrix)
 
 
-def _initial_join(
-    aut: EnergyAutomaton, first: frozenset, c: list, k: int, act, vjoin, vzero
-):
+def _initial_join(aut: EnergyAutomaton, M: mk.SquareMatrix, c: list, omega: bool):
     """The join over the initial states of the greatest v with v = M v + c,
-    counting infinite runs only when they repeat one of the k states in
-    ``first`` (``c``, ``act``, ``vjoin`` and ``vzero`` as in ``mk._solve``).
-
-    The states are ordered: those in ``first``, initial ones leading, then
-    the other initial states, then the rest, each group in state order.
-    v_p depends only on v_j for j < p, so the solve back-substitutes only
-    up to the last initial state.
-    """
-    initial = [name in aut.initial for name in aut.states]
-    order = sorted(
-        range(aut.dim), key=lambda i: (aut.states[i] not in first, not initial[i])
-    )
-    m = max((pos + 1 for pos, i in enumerate(order) if initial[i]), default=0)
+    counting the infinite runs iff ``omega`` (as in ``mk._solve``).  The
+    initial states come first, so the solve back-substitutes only them."""
+    alg = M.algebra
+    act, vjoin, vzero = (alg.act, alg.vjoin, alg.vzero) if omega else (alg.mul, alg.join, alg.zero)
+    order = sorted(range(aut.dim), key=lambda i: aut.states[i] not in aut.initial)
+    m = sum(name in aut.initial for name in aut.states)
     if m == 0:
         return vzero
-    rows = aut.matrix.rows
-    permuted = mk.matrix(aut.matrix.algebra, [[rows[i][j] for j in order] for i in order])
-    v = mk._solve(permuted, [c[i] for i in order], k, act, vjoin, vzero, m)
-    return functools.reduce(vjoin, [entry for entry, i in zip(v, order) if initial[i]])
+    permuted = mk.matrix(alg, [[M.rows[i][j] for j in order] for i in order])
+    v = mk._solve(permuted, [c[i] for i in order], omega, act, vjoin, vzero, m)
+    return functools.reduce(vjoin, v)
 
 
 def reach_value(aut: EnergyAutomaton) -> EnergyFunction:
     """The single energy function alpha . M* . zeta."""
     alg = aut.matrix.algebra
     zeta = [alg.one if name in aut.accepting else alg.zero for name in aut.states]
-    return _initial_join(aut, frozenset(), zeta, 0, alg.mul, alg.join, alg.zero)
+    return _initial_join(aut, aut.matrix, zeta, omega=False)
 
 
 def reachable(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResult:
@@ -127,13 +117,10 @@ def reachable(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> Query
 
 
 def buchi_value(aut: EnergyAutomaton) -> ThresholdPredicate:
-    """The join over initial states of M^{omega_k}, which counts the runs
-    repeating one of the first k states: the k accepting states come first."""
-    alg = aut.matrix.algebra
-    return _initial_join(
-        aut, aut.accepting, [alg.vzero] * aut.dim, len(aut.accepting),
-        alg.act, alg.vjoin, alg.vzero,
-    )
+    """The join over initial states of the omega vector over M with the
+    accepting columns flagged: the runs through them infinitely often."""
+    M = mk.flagged(aut.matrix, [name in aut.accepting for name in aut.states])
+    return _initial_join(aut, M, [M.algebra.vzero] * aut.dim, omega=True)
 
 
 def buchi(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResult:

@@ -44,7 +44,7 @@ from .errors import (
     SlopeTooSmall,
 )
 from .extlat import (
-    BOTTOM, TOP, ExtValue, Rational, RationalLike, as_fraction, div, finite, json_flag,
+    BOTTOM, TOP, ExtValue, Rational, RationalLike, as_fraction, div, exact, finite, json_flag,
 )
 
 _ZERO = 0
@@ -240,7 +240,8 @@ def _canonical(
 ) -> EnergyFunction:
     """The canonical function with these boundaries and valid pieces: a one-point
     last segment (start == t) folds into its predecessor when that reaches the
-    same value at t, else takes slope 1; pieces that continue one another merge."""
+    same value at t, else takes slope 1; pieces that continue one another merge.
+    Every integral value becomes an int."""
     if pieces and pieces[-1].start == t:
         last = pieces.pop()
         if not pieces or pieces[-1].value_at(t) != last.intercept:
@@ -249,8 +250,9 @@ def _canonical(
     for p in pieces:
         q = merged[-1] if merged else None
         if q is None or p.slope != q.slope or q.value_at(p.start) != p.intercept:
-            merged.append(p)
-    return EnergyFunction(b, b_flag, tuple(merged), t, t_flag)
+            ints = type(p.start) is type(p.intercept) is type(p.slope) is int
+            merged.append(p if ints else Piece(*map(exact, p)))
+    return EnergyFunction(exact(b), b_flag, tuple(merged), t if t is None else exact(t), t_flag)
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +314,7 @@ def _first(cands: Iterable[Rational], f: EnergyFunction, hit) -> Optional[tuple]
     upward-closed set that changes only at candidates."""
     for lo, above, law in _cells(cands, f.laws_at):
         if hit(law, lo, above):
-            return lo, not above
+            return exact(lo), not above
     return None
 
 

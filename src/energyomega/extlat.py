@@ -105,7 +105,7 @@ def as_fraction(q: RationalLike) -> Rational:
             raise ParseError(f"bad rational literal {q!r}") from exc
     elif not isinstance(q, Fraction):
         raise ParseError(f"cannot interpret {q!r} as a rational")
-    return q.numerator if q.denominator == 1 else q
+    return exact(q)
 
 
 def div(a: Rational, b: Rational) -> Rational:
@@ -113,7 +113,11 @@ def div(a: Rational, b: Rational) -> Rational:
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
-    q = a / b  # a Fraction on either side keeps it exact
+    return exact(a / b)  # a Fraction on either side keeps it exact
+
+
+def exact(q: Rational) -> Rational:
+    """q as an int when integral: Fraction arithmetic can give Fraction(k, 1)."""
     return q.numerator if q.denominator == 1 else q
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from . import energyfn, omegaval
@@ -88,9 +88,9 @@ def vector(algebra: StarAlgebra, entries: Sequence[Any]) -> ColumnVector:
     return ColumnVector(algebra, tuple(entries))
 
 
-def _solve(M: SquareMatrix, c: Sequence[Any], k: int, act, vjoin, vzero, m: int) -> list:
+def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, act, vjoin, vzero, m: int) -> list:
     """Entries v_0 ... v_{m-1} of the greatest v with v = M v + c,
-    counting infinite runs only when they repeat one of the first k states.
+    counting the infinite runs iff ``omega``.
 
     ``act``/``vjoin``/``vzero`` act on the vector entries: the semiring's
     own ``mul``/``join``/``zero`` for M* c, the semimodule's for omega.
@@ -100,12 +100,10 @@ def _solve(M: SquareMatrix, c: Sequence[Any], k: int, act, vjoin, vzero, m: int)
         v_p = a_pp^w + a_pp* (c_p + sum_{j<p} a_pj v_j)
 
     is substituted into the rows above, then back-substituted from 0 up.
-    The a_pp^w term, kept only for p < k, carries the runs whose least
-    infinitely repeated state is p, so exactly the runs repeating one of
-    the first k states count.  Products and joins with a zero are skipped.
-    v_p depends only on v_j for j < p, so back-substitution stops after
-    v_{m-1}: the automaton queries read only the initial states' entries
-    and put those states first (m = n gives the whole vector).
+    The a_pp^w term, kept under ``omega``, carries the runs whose least
+    infinitely repeated state is p.  Products and joins with a zero are
+    skipped.  v_p depends only on v_j for j < p, so back-substitution
+    stops after v_{m-1} (m = n gives the whole vector).
 
     Operand pairs repeat within a solve, so ``mul`` and ``join``, and
     ``act``/``vjoin`` when they are ``mul``/``join``, keep every result
@@ -141,7 +139,7 @@ def _solve(M: SquareMatrix, c: Sequence[Any], k: int, act, vjoin, vzero, m: int)
             d = d if is_vzero(d) else act(loop_star, d)
             # omega term first: lasso membership tries components in order,
             # and a_pp^w is the one that most often holds
-            d = vadd(alg.omega(loop), d) if p < k else d
+            d = vadd(alg.omega(loop), d) if omega else d
         for i in range(p):
             x = a[i][p]
             if is_zero(x):
@@ -167,7 +165,7 @@ def mat_star_vec(M: SquareMatrix, c: ColumnVector) -> ColumnVector:
     if M.dim != c.dim:
         raise DimensionMismatch(f"matrix {M.dim} vs vector {c.dim}")
     alg = M.algebra
-    return vector(alg, _solve(M, c.entries, 0, alg.mul, alg.join, alg.zero, M.dim))
+    return vector(alg, _solve(M, c.entries, False, alg.mul, alg.join, alg.zero, M.dim))
 
 
 def mat_star(M: SquareMatrix) -> SquareMatrix:
@@ -187,18 +185,47 @@ def mat_star(M: SquareMatrix) -> SquareMatrix:
         return tuple(map(join, r, s))
 
     unit_rows = [tuple(alg.one if i == j else zero for j in range(n)) for i in range(n)]
-    return matrix(alg, _solve(M, unit_rows, 0, act, vjoin, (zero,) * n, n))
+    return matrix(alg, _solve(M, unit_rows, False, act, vjoin, (zero,) * n, n))
 
 
 def mat_omega(M: SquareMatrix) -> ColumnVector:
     """Supremum over all infinite runs from each state."""
-    return mat_omega_k(M, M.dim)
+    alg = M.algebra
+    return vector(alg, _solve(M, [alg.vzero] * M.dim, True, alg.act, alg.vjoin, alg.vzero, M.dim))
 
 
 def mat_omega_k(M: SquareMatrix, k: int) -> ColumnVector:
     """Omega restricted to runs hitting the first k states infinitely often."""
-    alg = M.algebra
-    n = M.dim
-    if not 0 <= k <= n:
-        raise BadAcceptingCount(f"k={k} out of range for dimension {n}")
-    return vector(alg, _solve(M, [alg.vzero] * n, k, alg.act, alg.vjoin, alg.vzero, n))
+    if not 0 <= k <= M.dim:
+        raise BadAcceptingCount(f"k={k} out of range for dimension {M.dim}")
+    return vector(M.algebra, mat_omega(flagged(M, [j < k for j in range(M.dim)])).entries)
+
+
+def flagged(M: SquareMatrix, flags: Sequence[bool]) -> SquareMatrix:
+    """M over pairs (x, y): x joins the walks, y those entering a flagged
+    column, so (M_ij, M_ij) into one and (M_ij, 0) elsewhere.  Pairs
+    multiply as (x1 x2, y1 x2 + x1 y2) and act by x; (x, y)* is
+    (x*, x* y x*) and (x, y)^w is (x* y)^w.  So ``mat_omega`` counts the
+    runs entering a flagged state infinitely often, in any state order:
+    ``wordmodel._extend``'s (reach, flag) profile over any star algebra.
+    As y <= x, a product with a factor whose y is its x has y = x."""
+    alg, zero = M.algebra, M.algebra.zero
+    join, star = functools.cache(alg.join), functools.cache(alg.star)
+    mul = functools.cache(lambda x, y: zero if zero in (x, y) else alg.mul(x, y))
+
+    def pair_mul(a, b):
+        x = mul(a[0], b[0])
+        return x, x if a[1] is a[0] or b[1] is b[0] else join(mul(a[1], b[0]), mul(a[0], b[1]))
+
+    pairs = replace(
+        alg,
+        join=lambda a, b: (join(a[0], b[0]), join(a[1], b[1])),
+        mul=pair_mul,
+        zero=(zero, zero),
+        one=(alg.one, zero),
+        star=lambda a: (star(a[0]), mul(mul(star(a[0]), a[1]), star(a[0]))),
+        equal=lambda a, b: alg.equal(a[0], b[0]) and alg.equal(a[1], b[1]),
+        act=lambda a, v: alg.act(a[0], v),
+        omega=lambda a: alg.omega(mul(star(a[0]), a[1])),
+    )
+    return matrix(pairs, [[(x, x if f else zero) for x, f in zip(row, flags)] for row in M.rows])

@@ -435,9 +435,10 @@ def test_truncated_solve_matches_full_vector():
         alg, rows = aut.matrix.algebra, aut.matrix.rows
         zeta = [alg.one if s in aut.accepting else alg.zero for s in aut.states]
         column = mk.mat_star_vec(aut.matrix, mk.vector(alg, zeta)).entries
+        # the block reference reads its first k states as the accepting ones
         order = sorted(range(n), key=lambda i: aut.states[i] not in aut.accepting)
         permuted = mk.matrix(alg, [[rows[i][j] for j in order] for i in order])
-        stacked = mk.mat_omega_k(permuted, len(aut.accepting)).entries
+        stacked = block_omega_k(permuted, len(aut.accepting)).entries
         omega = {i: entry for i, entry in zip(order, stacked)}
         picks = [set(), *({s} for s in aut.states), set(aut.states)]
         picks.append(set(rng.sample(aut.states, rng.randint(1, n))))
@@ -451,6 +452,33 @@ def test_truncated_solve_matches_full_vector():
             kinds[len(initial) if len(initial) < 2 else "several"] += 1
             kinds["accepting initial"] += bool(initial & aut.accepting)
     assert min(kinds.values()) >= 20
+
+
+def test_buchi_solve_scales_like_reach():
+    # a circulant ring i -> i+1, i+2, i-1 of net-negative shifts with every
+    # 4th state accepting: the i -> i+2 edges skip the accepting states, so
+    # eliminating the others first would join every pair of accepting ones
+    rng = random.Random(7)
+    n = 128
+    p = [rng.randint(0, 3) for _ in range(n)]
+    edges = [
+        (i, (i + d) % n, shift(p[(i + d) % n] - p[i] - rng.choice((1, 1, 2))))
+        for i in range(n) for d in (1, 2, -1)
+    ]
+    aut = ea.automaton(range(n), [0], range(0, n, 4), edges)
+    composes = Counter()
+
+    def counted(query):
+        def mul(f, g):
+            composes[query] += 1
+            return energyfn.compose(f, g)
+
+        alg = dataclasses.replace(mk.ENERGY_ALGEBRA, mul=mul)
+        return dataclasses.replace(aut, matrix=mk.matrix(alg, aut.matrix.rows))
+
+    assert ea.reach_value(counted("reach")) == ea.reach_value(aut)
+    assert ea.buchi_value(counted("buchi")) == ea.buchi_value(aut)
+    assert composes["buchi"] <= 3 * composes["reach"], composes
 
 
 def test_verify_on_sparse_rings_at_large_n():

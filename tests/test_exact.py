@@ -3,6 +3,8 @@
 Every rational a result holds (piece fields, boundaries, thresholds,
 ``ExtValue.value``) must be an ``int`` or a ``Fraction``: a float would
 make the arithmetic inexact, and a bool is a JSON literal, not a number.
+An integral result is an ``int``, never a ``Fraction(k, 1)``, which
+would run the slow ``Fraction`` path through every later operation.
 Integral values may arrive as ``int`` or as ``Fraction(k, 1)``; the two
 must give equal results with identical text.
 """
@@ -41,6 +43,7 @@ def _assert_exact(*results):
     for res in results:
         for q in _rationals(res):
             assert isinstance(q, (int, Fraction)) and not isinstance(q, bool), (res, q)
+            assert type(q) is int or q.denominator > 1, (res, q)
 
 
 def _draw(rng):
@@ -65,6 +68,19 @@ def test_no_float_enters(draw_seed):
     )
     grid = [0] + [q + 1 for q in f.structure_points() + c.structure_points()]
     _assert_exact(*(h.eval(finite(q)) for h in (f, c) for q in grid))
+
+
+def test_integral_results_of_fraction_arithmetic_are_ints():
+    # 3/2 x then 2 x has slope 3, which Fraction arithmetic gives as 3/1
+    f = compose(fn_pieces(0, [(0, 0, Fraction(3, 2))]), fn_pieces(0, [(0, 0, 2)]))
+    assert f.pieces == (Piece(0, 0, 3),)
+    _assert_exact(f)
+    # 1 + 3/2 (x - 1/2) reaches 13/4 at x = 1/2 + 3/2: a threshold that
+    # Fraction arithmetic gives as 2/1
+    g = fn_pieces(Fraction(1, 2), [(Fraction(1, 2), 1, Fraction(3, 2))])
+    v = omegaval.act(g, omegaval.from_threshold(Fraction(13, 4)))
+    assert v.threshold == 2
+    _assert_exact(v, star(g), omegaval.omega(g))
 
 
 def test_as_fraction_keeps_integers_as_ints():
@@ -144,6 +160,7 @@ def test_int_and_fraction_integers_give_the_same_results(draw_seed):
     _same(omegaval.omega(fb), omegaval.omega(f))
     _same(omegaval.act(fb, vb), omegaval.act(f, v))
     _same(omegaval.act(f, vb), omegaval.act(f, v))
+    _assert_exact(compose(fb, gb), star(fb), omegaval.omega(fb), omegaval.act(fb, vb))
     # every edge as Fractions, and a random half of them
     for pick in (lambda: True, lambda: rng.random() < 0.5):
         edges = [
@@ -154,3 +171,4 @@ def test_int_and_fraction_integers_give_the_same_results(draw_seed):
         other = ea.automaton(aut.states, aut.initial, aut.accepting, edges)
         _same(ea.reach_value(other), ea.reach_value(aut))
         _same(ea.buchi_value(other), ea.buchi_value(aut))
+        _assert_exact(ea.reach_value(other), ea.buchi_value(other))

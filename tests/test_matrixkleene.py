@@ -111,6 +111,8 @@ def test_mat_omega_k_edges():
     m = _cross(shift(2), shift(-1))
     assert mk.mat_omega_k(m, 0).entries == (NEVER, NEVER)
     assert mk.mat_omega_k(m, 2).entries == mk.mat_omega(m).entries
+    # the flagged pairs stay inside: the vector is over M's own algebra
+    assert mk.mat_omega_k(m, 1).algebra is m.algebra
 
 
 def test_mat_omega_k_pump_example():
