@@ -1,11 +1,12 @@
 """Energy automata: reachability and Buchi acceptance.
 
 The algebraic route answers queries through one elimination solve in
-``matrixkleene``: the column M* zeta for reachability, and the omega
-vector over M with the accepting columns flagged for Buchi acceptance.  The
-oracle route never composes functions: it evaluates edges on exact
-energies and relaxes the best energy per state over all walks
-(Bellman-Ford), which is sound because all edge functions are monotone.
+``matrixkleene``, which returns its solution at the initial states only:
+alpha . M* . zeta for reachability, and alpha times the omega vector over
+M with the accepting columns flagged for Buchi acceptance.  The oracle
+route never composes functions: it evaluates edges on exact energies and
+relaxes the best energy per state over all walks (Bellman-Ford), which
+is sound because all edge functions are monotone.
 A state that still improves after n sweeps is promoted to top.
 """
 
@@ -18,7 +19,7 @@ from typing import Dict, Hashable, Iterable, Optional, Tuple
 from . import energyfn, matrixkleene as mk, omegaval
 from .energyfn import EnergyFunction
 from .errors import ParseError, VerificationFailed
-from .extlat import BOTTOM, TOP, ExtValue, Rational, div, ext_join, finite, format_ext
+from .extlat import BOTTOM, TOP, ExtValue, Rational, div, finite, format_ext
 from .omegaval import ThresholdPredicate
 
 # from_json refuses more states than this: the matrix has n^2 entries
@@ -81,17 +82,11 @@ def automaton(
 
 def _initial_join(aut: EnergyAutomaton, M: mk.SquareMatrix, c: list, omega: bool):
     """The join over the initial states of the greatest v with v = M v + c,
-    counting the infinite runs iff ``omega`` (as in ``mk._solve``).  The
-    initial states come first, so the solve back-substitutes only them."""
+    counting the infinite runs iff ``omega`` (as in ``mk._solve``)."""
     alg = M.algebra
-    act, vjoin, vzero = (alg.act, alg.vjoin, alg.vzero) if omega else (alg.mul, alg.join, alg.zero)
-    order = sorted(range(aut.dim), key=lambda i: aut.states[i] not in aut.initial)
-    m = sum(name in aut.initial for name in aut.states)
-    if m == 0:
-        return vzero
-    permuted = mk.matrix(alg, [[M.rows[i][j] for j in order] for i in order])
-    v = mk._solve(permuted, [c[i] for i in order], omega, act, vjoin, vzero, m)
-    return functools.reduce(vjoin, v)
+    vjoin, vzero = (alg.vjoin, alg.vzero) if omega else (alg.join, alg.zero)
+    initial = [i for i, name in enumerate(aut.states) if name in aut.initial]
+    return functools.reduce(vjoin, mk._solve(M, c, omega, initial)) if initial else vzero
 
 
 def reach_value(aut: EnergyAutomaton) -> EnergyFunction:
@@ -197,10 +192,7 @@ def _sustained(aut: EnergyAutomaton, s: int, z: ExtValue) -> bool:
     """
     if z.is_bottom:
         return False
-    rows = aut.matrix.rows
-    energy = {i: BOTTOM for i in range(aut.dim)}
-    for dst in range(aut.dim):
-        energy[dst] = ext_join(energy[dst], rows[s][dst].eval(z))
+    energy = {dst: f.eval(z) for dst, f in enumerate(aut.matrix.rows[s])}
     energy, _ = _stabilize(aut, energy)
     return energy[s] >= z
 

@@ -360,7 +360,6 @@ def _product_star(A, x, y):
 
 
 def _omega_sum(A, x, y):
-    # lasso membership tries the right side's components in this order
     xsy = A.mul(A.star(x), y)
     return A.omega(A.join(x, y)), A.vjoin(A.act(A.star(xsy), A.omega(x)), A.omega(xsy))
 

@@ -2,7 +2,7 @@
 
 ``mat_star_vec``, ``mat_star``, ``mat_omega`` and ``mat_omega_k``
 share one elimination solve for the greatest solution of v = M v + c;
-``mat_star`` solves it once, with the rows of the identity as c.  The
+``mat_star`` solves it once per column, with a unit vector as c.  The
 solve works over an abstract operation set, so the energy instance and the
 regular-language instance share the same code.
 """
@@ -88,31 +88,32 @@ def vector(algebra: StarAlgebra, entries: Sequence[Any]) -> ColumnVector:
     return ColumnVector(algebra, tuple(entries))
 
 
-def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, act, vjoin, vzero, m: int) -> list:
-    """Entries v_0 ... v_{m-1} of the greatest v with v = M v + c,
-    counting the infinite runs iff ``omega``.
+def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, keep: Sequence[int]) -> list:
+    """The entries at the states in ``keep``, in that order, of the
+    greatest v with v = M v + c, counting the infinite runs iff ``omega``.
 
-    ``act``/``vjoin``/``vzero`` act on the vector entries: the semiring's
-    own ``mul``/``join``/``zero`` for M* c, the semimodule's for omega.
-    States are eliminated from n-1 down to 0: with a_pp summing the
-    cycles at p through higher states only,
+    Under ``omega`` c is over the semimodule, with its ``act``, ``vjoin``
+    and ``vzero``; otherwise over the semiring, with ``mul``, ``join``
+    and ``zero``.  The states are ordered as ``keep`` followed by the
+    others by index, and eliminated from the last of that order to the
+    first: with a_pp summing the cycles at p through the states already
+    eliminated, and j over the states before p in the order,
 
-        v_p = a_pp^w + a_pp* (c_p + sum_{j<p} a_pj v_j)
+        v_p = a_pp^w + a_pp* (c_p + sum_j a_pj v_j)
 
-    is substituted into the rows above, then back-substituted from 0 up.
-    The a_pp^w term, kept under ``omega``, carries the runs whose least
-    infinitely repeated state is p.  Products and joins with a zero are
-    skipped.  v_p depends only on v_j for j < p, so back-substitution
-    stops after v_{m-1} (m = n gives the whole vector).
+    is substituted into the rows of those states.  The a_pp^w term, kept
+    under ``omega``, carries the runs whose first infinitely repeated
+    state in the order is p.  Products and joins with a zero are skipped.
+    v_p depends only on the states before it, so only the ``keep`` states
+    are back-substituted, along ``keep``.
 
-    Operand pairs repeat within a solve, so ``mul`` and ``join``, and
-    ``act``/``vjoin`` when they are ``mul``/``join``, keep every result
-    in a dict keyed by the operand pair, which lives as long as the solve.
+    Operand pairs repeat within a solve, so ``mul`` and ``join`` keep
+    every result in a dict keyed by the operand pair, which lives as long
+    as the solve.
     """
     alg = M.algebra
     mul, join, zero = functools.cache(alg.mul), functools.cache(alg.join), alg.zero
-    act = mul if act is alg.mul else act
-    vjoin = join if vjoin is alg.join else vjoin
+    act, vjoin, vzero = (alg.act, alg.vjoin, alg.vzero) if omega else (mul, join, zero)
 
     def is_zero(x) -> bool:
         return x is zero or x == zero
@@ -123,24 +124,24 @@ def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, act, vjoin, vzero, m:
     def vadd(u, w):
         return w if is_vzero(u) else vjoin(u, w)
 
+    order = [*keep, *sorted(set(range(M.dim)).difference(keep))]
     a = [list(row) for row in M.rows]
     c = list(c)
-    solved = []  # from state n-1 down: (constant part of v_p, [(j, a_pp* a_pj)])
-    for p in range(M.dim - 1, -1, -1):
-        loop = a[p][p]
-        loop_star = None if is_zero(loop) else alg.star(loop)
+    solved = {}  # p: (constant part of v_p, [(j, a_pp* a_pj)])
+    for k in range(M.dim - 1, -1, -1):
+        p, earlier = order[k], order[:k]
+        ap = a[p]
+        loop_star = None if is_zero(ap[p]) else alg.star(ap[p])
         row = [
-            (j, x if loop_star is None else mul(loop_star, x))
-            for j, x in enumerate(a[p][:p])
-            if not is_zero(x)
+            (j, ap[j] if loop_star is None else mul(loop_star, ap[j]))
+            for j in earlier
+            if not is_zero(ap[j])
         ]
         d = c[p]
         if loop_star is not None:
             d = d if is_vzero(d) else act(loop_star, d)
-            # omega term first: lasso membership tries components in order,
-            # and a_pp^w is the one that most often holds
-            d = vadd(alg.omega(loop), d) if omega else d
-        for i in range(p):
+            d = vadd(alg.omega(ap[p]), d) if omega else d
+        for i in earlier:
             x = a[i][p]
             if is_zero(x):
                 continue
@@ -149,49 +150,36 @@ def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, act, vjoin, vzero, m:
                 a[i][j] = xy if is_zero(a[i][j]) else join(a[i][j], xy)
             if not is_vzero(d):
                 c[i] = vadd(c[i], act(x, d))
-        solved.append((d, row))
+        solved[p] = d, row
 
-    v: list = []
-    for d, row in reversed(solved[M.dim - m:]):
+    v = {}
+    for p in keep:
+        d, row = solved[p]
         for j, y in row:
             if not is_vzero(v[j]):
                 d = vadd(d, act(y, v[j]))
-        v.append(d)
-    return v
+        v[p] = d
+    return [v[p] for p in keep]
 
 
 def mat_star_vec(M: SquareMatrix, c: ColumnVector) -> ColumnVector:
     """The column M* c, without building M*."""
     if M.dim != c.dim:
         raise DimensionMismatch(f"matrix {M.dim} vs vector {c.dim}")
-    alg = M.algebra
-    return vector(alg, _solve(M, c.entries, False, alg.mul, alg.join, alg.zero, M.dim))
+    return vector(M.algebra, _solve(M, c.entries, False, range(M.dim)))
 
 
 def mat_star(M: SquareMatrix) -> SquareMatrix:
-    """M*, from one solve of v = M v + I whose vector entries are rows.
-
-    An entry acts on a row entrywise and rows join entrywise, so v_p is
-    row p of M*.
-    """
-    alg = M.algebra
-    mul, join, zero = alg.mul, alg.join, alg.zero
-    n = M.dim
-
-    def act(a, row):
-        return tuple(mul(a, x) for x in row)
-
-    def vjoin(r, s):
-        return tuple(map(join, r, s))
-
-    unit_rows = [tuple(alg.one if i == j else zero for j in range(n)) for i in range(n)]
-    return matrix(alg, _solve(M, unit_rows, False, act, vjoin, (zero,) * n, n))
+    """M*, column by column: column j is M* times the j-th unit vector."""
+    alg, n = M.algebra, M.dim
+    units = [vector(alg, [alg.one if i == j else alg.zero for i in range(n)]) for j in range(n)]
+    return matrix(alg, list(zip(*(mat_star_vec(M, e).entries for e in units))))
 
 
 def mat_omega(M: SquareMatrix) -> ColumnVector:
     """Supremum over all infinite runs from each state."""
     alg = M.algebra
-    return vector(alg, _solve(M, [alg.vzero] * M.dim, True, alg.act, alg.vjoin, alg.vzero, M.dim))
+    return vector(alg, _solve(M, [alg.vzero] * M.dim, True, range(M.dim)))
 
 
 def mat_omega_k(M: SquareMatrix, k: int) -> ColumnVector:

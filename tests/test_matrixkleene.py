@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from energyomega import energyauto, energyfn, laws, matrixkleene as mk, omegaval
+from energyomega import energyauto, energyfn, laws, matrixkleene as mk, omegaval, wordmodel
 from energyomega.energyfn import CONST_BOTTOM, identity, shift
 from energyomega.errors import BadAcceptingCount, DimensionMismatch
 from energyomega.extlat import BOTTOM, TOP, finite
@@ -180,16 +180,19 @@ def test_solve_computes_each_operand_pair_once():
         calls.clear()
         assert solve(alg) == solve(ALG)
         assert calls and max(calls.values()) == 1
-    # with state 0 the only initial one, reach_value reads only v_0, which
-    # the last elimination step yields: no back-substitution product follows
-    calls.clear()
-    products.clear()
-    aut = energyauto.EnergyAutomaton(
-        tuple(range(n)), frozenset({0}), frozenset({0}), mk.matrix(alg, rows)
-    )
-    value = energyauto.reach_value(aut)
-    assert max(calls.values()) == 1 and products[-1] == value
-    assert value == mk.mat_star_vec(mk.matrix(ALG, rows), mk.vector(ALG, zeta)).entries[0]
+    # with one initial state, first, in the middle or last, reach_value
+    # reads only v at it, which the last elimination step yields: no
+    # back-substitution product follows
+    column = mk.mat_star_vec(mk.matrix(ALG, rows), mk.vector(ALG, zeta)).entries
+    for initial in (0, n // 2, n - 1):
+        calls.clear()
+        products.clear()
+        aut = energyauto.EnergyAutomaton(
+            tuple(range(n)), frozenset({initial}), frozenset({0}), mk.matrix(alg, rows)
+        )
+        value = energyauto.reach_value(aut)
+        assert max(calls.values()) == 1 and products[-1] == value
+        assert value == column[initial]
 
 
 def test_split_independence():
@@ -209,6 +212,23 @@ def test_split_independence():
                 assert block_omega(m, split=k).entries == omega.entries
             for k in range(n + 1):
                 assert mk.mat_omega_k(m, k).entries == block_omega_k(m, k).entries
+
+
+def test_mat_star_over_word_model():
+    # the elimination solve against the block formulas over regular
+    # languages, whose equality is language equality (HKC)
+    alg = wordmodel.word_algebra("ab")
+    rng = random.Random(37)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        entries = [
+            alg.zero if rng.random() < 0.4 else laws.random_regex(rng, "ab")
+            for _ in range(n * n)
+        ]
+        m = mk.matrix(alg, [entries[i * n : (i + 1) * n] for i in range(n)])
+        star = mk.mat_star(m)
+        for k in range(1, n) if n > 1 else [None]:
+            assert mat_equal(block_star(m, split=k), star)
 
 
 def test_mat_star_vec_is_star_times_vector():
