@@ -2,14 +2,14 @@
 
 Each checker compares two sides of a law on concrete inputs and returns
 a LawReport.  Laws whose right side is an infinite supremum (Ax0, Ax3,
-Ax4 and the bi-inductive x^w + x*v) build a small energy automaton from
-the law's operands, whose best run is that supremum, and compare the
-left side with ``energyauto``'s relaxation oracles at each sample, so
-they report Pass or Fail.  Unknown is left for word-model comparisons
-that raise BudgetExceeded.  The Conway star and omega identities are one
-table, IDENTITIES, written over a StarAlgebra and shared by both models
-and the ``wordcheck`` command.  All randomness is seeded, so every
-failure is replayable.
+Ax4, bi-inductive) are compared with ``energyauto``'s relaxation oracles
+on a small automaton built from their operands (``_oracle_cases``).
+Every other case compares two algebra values in ``_compare``, which
+reports a word-model failure as L1/L2, or W1/W2 with a lasso
+counterexample, and a comparison that raises BudgetExceeded as Unknown.
+IDENTITIES is one table of Conway identities shared by both models and
+``wordcheck``; group identities take a GROUP_TABLES name.  All
+randomness is seeded, so every failure is replayable.
 """
 
 from __future__ import annotations
@@ -263,13 +263,11 @@ def check_ax1_ax2(
     lhs = omegaval.infinite_product_lasso(prefix, cycle)
     new_prefix, new_cycle = _regrouped_lasso(prefix, cycle, head, blocks)
     rhs = omegaval.infinite_product_lasso(new_prefix, new_cycle)
-    report.cases += 1
     inputs = (
         f"prefix={[str(p) for p in prefix]}; cycle={[str(c) for c in cycle]}; "
         f"head={head}; blocks={list(blocks)}"
     )
-    if lhs != rhs:
-        report.failures.append(LawCase(inputs, str(lhs), str(rhs)))
+    _compare(report, inputs, mk.ENERGY_ALGEBRA, lhs, rhs, omega=True)
     return report
 
 
@@ -376,40 +374,46 @@ IDENTITIES = {
 }
 
 
-def _omega_equal(instance: str, a, b, bound: int):
-    """(equal, evidence): exact on energy, on all lassos up to `bound` on words."""
-    if instance == "energy":
-        return a == b, None
-    verdict = wordmodel.lasso_equal_bounded(a, b, bound)
-    return verdict.equal, verdict
+def _compare(
+    report: LawReport, inputs: str, alg, lhs, rhs, omega: bool, bound: Optional[int] = None
+) -> bool:
+    """Count, decide and record one case comparing two algebra values.
+
+    Semiring values are decided by ``alg.equal``; omega values by ``==``
+    on energy and on every lasso up to `bound` on words.  An energy
+    failure records both sides.  A word-model failure records L1/L2, or
+    W1/W2 with the lasso counterexample as its sample, because a
+    RegularLang has no readable str.  A comparison that raises
+    BudgetExceeded is Unknown.  Returns whether the case was decided.
+    """
+    report.cases += 1
+    evidence = None
+    try:
+        if not omega:
+            equal = alg.equal(lhs, rhs)
+        elif report.instance == "energy":
+            equal = lhs == rhs
+        else:
+            evidence = wordmodel.lasso_equal_bounded(lhs, rhs, bound)
+            equal = evidence.equal
+    except BudgetExceeded as exc:
+        report.unknowns.append(LawCase(inputs, "undecided", "undecided", sample=str(exc)))
+        return False
+    if not equal:
+        if report.instance == "energy":
+            sides = str(lhs), str(rhs)
+        else:
+            sides = ("W1", "W2") if omega else ("L1", "L2")
+        sample = None if evidence is None else str(evidence)
+        report.failures.append(LawCase(inputs, *sides, sample=sample))
+    return True
 
 
 def check_identity(report: LawReport, name: str, alg, x, y, bound: int = 5) -> None:
-    """Add one case of the IDENTITIES row `name` at (x, y) to the report.
-
-    A check that raises BudgetExceeded is Unknown.  Word-model failures
-    name only the law, because a RegularLang has no readable str.
-    """
+    """Add one case of the IDENTITIES row `name` at (x, y) to the report."""
     law, sides, omega = IDENTITIES[name]
     inputs = f"{law}; x={x}; y={y}" if report.instance == "energy" else law
-    report.cases += 1
-    lhs, rhs = sides(alg, x, y)
-    try:
-        if omega:
-            equal, evidence = _omega_equal(report.instance, lhs, rhs, bound)
-        else:
-            equal, evidence = alg.equal(lhs, rhs), None
-    except BudgetExceeded as exc:
-        report.unknowns.append(LawCase(inputs, "undecided", "undecided", sample=str(exc)))
-        return
-    if equal:
-        return
-    if report.instance == "energy":
-        report.failures.append(LawCase(inputs, str(lhs), str(rhs)))
-    elif omega:
-        report.failures.append(LawCase(inputs, "W1", "W2", sample=str(evidence)))
-    else:
-        report.failures.append(LawCase(inputs, "L1", "L2"))
+    _compare(report, inputs, alg, *sides(alg, x, y), omega, bound)
 
 
 def check_conway(
@@ -446,42 +450,19 @@ GROUP_TABLES = {
 }
 
 
-def _validate_group(table: Sequence[Sequence[int]]) -> List[int]:
-    """Check the Cayley table (identity first) and return the inverses."""
-    n = len(table)
-    idx = range(n)
-    if any(len(row) != n for row in table):
-        raise InvalidGroupTable("table must be square")
-    if any(sorted(row) != list(idx) for row in table) or any(
-        sorted(table[i][j] for i in idx) != list(idx) for j in idx
-    ):
-        raise InvalidGroupTable("rows and columns must be permutations")
-    if any(table[0][j] != j or table[j][0] != j for j in idx):
-        raise InvalidGroupTable("element 0 must be the identity")
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise InvalidGroupTable("table is not associative")
-    inv = [-1] * n
-    for i in idx:
-        for j in idx:
-            if table[i][j] == 0:
-                inv[i] = j
-    if any(v < 0 for v in inv):
-        raise InvalidGroupTable("missing inverses")
-    return inv
-
-
 def check_group_identity(
-    group, elements: Sequence, instance: str = "energy", bound: int = 5
+    group: str, elements: Sequence, instance: str = "energy", bound: int = 5
 ) -> LawReport:
-    """Row sums of the group matrix against star/omega of the joined elements."""
-    table = GROUP_TABLES[group] if isinstance(group, str) else [list(r) for r in group]
-    inv = _validate_group(table)
+    """Row sums of the group matrix against star/omega of the joined elements.
+
+    `group` names a GROUP_TABLES entry.  The check ends at its first
+    Unknown case.
+    """
+    table = GROUP_TABLES[group]
     n = len(table)
     if len(elements) != n:
         raise InvalidGroupTable(f"need {n} elements, got {len(elements)}")
+    inv = [row.index(0) for row in table]
     report = LawReport(f"group-{group}", instance)
     if instance == "energy":
         alg = mk.ENERGY_ALGEBRA
@@ -494,21 +475,11 @@ def check_group_identity(
     # the row sums of M_G* are the column M_G* 1, with 1 the all-one vector
     row_sums = mk.mat_star_vec(M, mk.vector(alg, [alg.one] * n)).entries
     expected = alg.star(joined)
-    try:
-        for i, row_sum in enumerate(row_sums):
-            case = f"row {i} of M_G*"
-            report.cases += 1
-            if not alg.equal(row_sum, expected):
-                report.failures.append(LawCase(case, str(row_sum), str(expected)))
-
-        case = "first entry of M_G^w"
-        report.cases += 1
-        omega_entry = mk.mat_omega(M).entries[0]
-        omega_expected = alg.omega(joined)
-        if not _omega_equal(instance, omega_entry, omega_expected, bound)[0]:
-            report.failures.append(LawCase(case, str(omega_entry), str(omega_expected)))
-    except BudgetExceeded as exc:
-        report.unknowns.append(LawCase(case, "undecided", "undecided", sample=str(exc)))
+    for i, row_sum in enumerate(row_sums):
+        if not _compare(report, f"row {i} of M_G*", alg, row_sum, expected, False, bound):
+            return report
+    _compare(report, "first entry of M_G^w", alg, mk.mat_omega(M).entries[0],
+             alg.omega(joined), True, bound)
     return report
 
 
@@ -528,10 +499,8 @@ def check_bi_inductive(
     w = omegaval.vjoin(omegaval.omega(f), omegaval.act(energyfn.star(f), v))
     inputs = f"f={f}; v={v}"
 
-    report.cases += 1
     refolded = omegaval.vjoin(omegaval.act(f, w), v)
-    if refolded != w:
-        report.failures.append(LawCase(inputs, str(w), str(refolded)))
+    _compare(report, inputs, mk.ENERGY_ALGEBRA, w, refolded, omega=True)
 
     # v as an edge: bottom where v fails, top where it holds
     where_v = (

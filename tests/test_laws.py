@@ -285,14 +285,46 @@ def test_group_word_out_of_budget_is_unknown():
     elements = [wordref.parse_regex(f"(a|b)*{c}{any12}", "ab") for c in "ab"]
     report = laws.check_group_identity("C2", elements, "word", bound=4)
     assert report.verdict == "Unknown", report.failures
+    # the check ends at its first Unknown: the second row is never compared
+    assert report.cases == 1
     assert report.unknowns[0].sample == "language equality exceeds 1024 pairs"
 
 
+def test_group_word_failures_are_reported_like_identities(monkeypatch, capsys):
+    rng = random.Random(66)
+    x, y = (laws.random_regex(rng, "ab", epsilon_free=True) for _ in range(2))
+
+    def differ(w1, w2, bound):
+        return wordmodel.BoundedVerdict(False, bound, ("", "a"))
+
+    with monkeypatch.context() as m:
+        m.setattr(wordmodel, "lasso_equal_bounded", differ)
+        report = laws.check_group_identity("C2", [x, y], "word", bound=4)
+        assert [(c.inputs, c.lhs, c.rhs, c.sample) for c in report.failures] == [
+            ("first entry of M_G^w", "W1", "W2", "differ on ''('a')^w")
+        ]
+        code = cli.main(["wordcheck", "--identity", "group-C2", "--cases", "1",
+                         "--bound", "4", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["failures"] == ["differ on ''('a')^w"]
+
+    monkeypatch.setattr(wordmodel, "lang_equal", lambda a, b: False)
+    report = laws.check_group_identity("C2", [x, y], "word", bound=4)
+    assert [(c.inputs, c.lhs, c.rhs, c.sample) for c in report.failures] == [
+        (f"row {i} of M_G*", "L1", "L2", None) for i in range(2)
+    ]
+
+
 def test_group_table_validation():
-    with pytest.raises(InvalidGroupTable):
-        laws.check_group_identity([[0, 1], [1, 1]], [identity(), identity()])
-    with pytest.raises(InvalidGroupTable):
-        laws.check_group_identity([[1, 0], [0, 1]], [identity(), identity()])
+    for name, table in laws.GROUP_TABLES.items():
+        idx = list(range(len(table)))
+        # a Latin square with 0 as the identity, and associative
+        assert all(sorted(row) == idx for row in table), name
+        assert all(sorted(row[j] for row in table) == idx for j in idx), name
+        assert table[0] == idx and [row[0] for row in table] == idx, name
+        assert all(
+            table[table[i][j]][k] == table[i][table[j][k]] for i in idx for j in idx for k in idx
+        ), name
     with pytest.raises(InvalidGroupTable):
         laws.check_group_identity("C3", [identity()])
 
