@@ -42,70 +42,49 @@ def _emit(args, text_lines, payload) -> None:
             print(line)
 
 
+def _print_answer(args, answer: bool, value, text) -> int:
+    """Print a reach or buchi answer, its value as ``value`` in JSON and
+    ``text`` in text, and return its exit code."""
+    payload = {"command": args.command, "energy": args.energy, "answer": answer,
+               "value": value, "verified": args.verify}
+    label = "reachable" if args.command == "reach" else "buchi"
+    _emit(args, [f"{label}: {'yes' if answer else 'no'}", f"value: {text}"], payload)
+    return EXIT_YES if answer else EXIT_NO
+
+
 def cmd_reach(args) -> int:
     aut = energyauto.from_json(_load_json(args.automaton))
-    x0 = parse_ext(args.energy)
-    result = energyauto.reachable(aut, x0, verify=args.verify)
+    result = energyauto.reachable(aut, parse_ext(args.energy), verify=args.verify)
     value = format_ext(result.value)
-    payload = {
-        "command": "reach",
-        "energy": args.energy,
-        "answer": result.answer,
-        "value": value,
-        "verified": args.verify,
-    }
-    _emit(
-        args,
-        [f"reachable: {'yes' if result.answer else 'no'}", f"value: {value}"],
-        payload,
-    )
-    return EXIT_YES if result.answer else EXIT_NO
+    return _print_answer(args, result.answer, value, value)
 
 
 def cmd_buchi(args) -> int:
     aut = energyauto.from_json(_load_json(args.automaton))
-    x0 = parse_ext(args.energy)
-    result = energyauto.buchi(aut, x0, verify=args.verify)
-    payload = {
-        "command": "buchi",
-        "energy": args.energy,
-        "answer": result.answer,
-        "value": omegaval.to_json(result.value),
-        "verified": args.verify,
-    }
-    _emit(
-        args,
-        [
-            f"buchi: {'yes' if result.answer else 'no'}",
-            f"value: {result.value}",
-        ],
-        payload,
-    )
-    return EXIT_YES if result.answer else EXIT_NO
+    result = energyauto.buchi(aut, parse_ext(args.energy), verify=args.verify)
+    return _print_answer(args, result.answer, omegaval.to_json(result.value), result.value)
+
+
+def _print_result(args, op, to_json) -> int:
+    """Print ``op`` (star or omega) of the function and its JSON encoding."""
+    out = op(energyfn.from_json(_load_json(args.function)))
+    doc = to_json(out)
+    _emit(args, [f"{args.command}: {out}", json.dumps(doc)], {"command": args.command, "result": doc})
+    return EXIT_YES
 
 
 def cmd_star(args) -> int:
-    f = energyfn.from_json(_load_json(args.function))
-    out = energyfn.star(f)
-    payload = {"command": "star", "result": energyfn.to_json(out)}
-    _emit(args, [f"star: {out}", json.dumps(energyfn.to_json(out))], payload)
-    return EXIT_YES
+    return _print_result(args, energyfn.star, energyfn.to_json)
 
 
 def cmd_omega(args) -> int:
-    f = energyfn.from_json(_load_json(args.function))
-    out = omegaval.omega(f)
-    payload = {"command": "omega", "result": omegaval.to_json(out)}
-    _emit(args, [f"omega: {out}", json.dumps(omegaval.to_json(out))], payload)
-    return EXIT_YES
+    return _print_result(args, omegaval.omega, omegaval.to_json)
 
 
 def cmd_eval(args) -> int:
     f = energyfn.from_json(_load_json(args.function))
-    x = parse_ext(args.energy)
-    value = format_ext(f.eval(x))
-    payload = {"command": "eval", "energy": args.energy, "value": value}
-    _emit(args, [f"value: {value}"], payload)
+    value = format_ext(f.eval(parse_ext(args.energy)))
+    _emit(args, [f"value: {value}"], {"command": "eval", "energy": args.energy, "value": value})
     return EXIT_YES
 
 
@@ -113,12 +92,9 @@ def cmd_laws(args) -> int:
     from . import laws
 
     reports = laws.run_suite(args.instance, seed=args.seed, cases=args.cases)
-    bad = 0
     for report in reports:
         print(json.dumps(report.to_json(), sort_keys=True))
-        if report.verdict != "Pass":
-            bad += 1
-    return EXIT_YES if bad == 0 else EXIT_NO
+    return EXIT_YES if all(report.verdict == "Pass" for report in reports) else EXIT_NO
 
 
 def cmd_wordcheck(args) -> int:
@@ -156,13 +132,9 @@ def cmd_wordcheck(args) -> int:
         "verdict": "Pass" if not failures else "Fail",
         "failures": failures,
     }
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        scope = f" up to bound {args.bound}" if bounded else " exactly"
-        print(f"{args.identity}: {payload['verdict']}{scope} ({args.cases} cases)")
-        for f in failures:
-            print(f"  counterexample: {f}")
+    scope = f" up to bound {args.bound}" if bounded else " exactly"
+    lines = [f"{args.identity}: {payload['verdict']}{scope} ({args.cases} cases)"]
+    _emit(args, lines + [f"  counterexample: {f}" for f in failures], payload)
     return EXIT_YES if not failures else EXIT_NO
 
 
@@ -190,19 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("reach", help="reachability with an initial energy")
-    p.add_argument("automaton")
-    p.add_argument("--energy", required=True, help='initial energy ("bot", "top", or a rational)')
-    p.add_argument("--verify", action="store_true", help="cross-check against the search oracle")
-    add_common(p)
-    p.set_defaults(func=cmd_reach)
-
-    p = sub.add_parser("buchi", help="repeated-accepting acceptance with an initial energy")
-    p.add_argument("automaton")
-    p.add_argument("--energy", required=True)
-    p.add_argument("--verify", action="store_true")
-    add_common(p)
-    p.set_defaults(func=cmd_buchi)
+    for name, help_text, func in (
+        ("reach", "reachability with an initial energy", cmd_reach),
+        ("buchi", "repeated-accepting acceptance with an initial energy", cmd_buchi),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("automaton")
+        p.add_argument("--energy", required=True, help='initial energy ("bot", "top", or a rational)')
+        p.add_argument("--verify", action="store_true", help="cross-check against the relaxation oracle")
+        add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("star", help="star of an energy function")
     p.add_argument("function")

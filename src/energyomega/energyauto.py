@@ -185,13 +185,11 @@ def _max_energies(
 
 
 def _sustained(aut: EnergyAutomaton, s: int, z: ExtValue) -> bool:
-    """Can a run leave state s at energy z and come back no poorer?
+    """Can a run leave state s at a live energy z and come back no poorer?
 
     Takes one real transition out of s and re-stabilizes, so inner
     pumping loops anywhere on the return path are accounted for.
     """
-    if z.is_bottom:
-        return False
     energy = {dst: f.eval(z) for dst, f in enumerate(aut.matrix.rows[s])}
     energy, _ = _stabilize(aut, energy)
     return energy[s] >= z

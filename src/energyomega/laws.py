@@ -473,12 +473,12 @@ def check_group_identity(
     joined = reduce(alg.join, elements)
 
     # the row sums of M_G* are the column M_G* 1, with 1 the all-one vector
-    row_sums = mk.mat_star_vec(M, mk.vector(alg, [alg.one] * n)).entries
+    row_sums = mk.mat_star_vec(M, [alg.one] * n)
     expected = alg.star(joined)
     for i, row_sum in enumerate(row_sums):
         if not _compare(report, f"row {i} of M_G*", alg, row_sum, expected, False, bound):
             return report
-    _compare(report, "first entry of M_G^w", alg, mk.mat_omega(M).entries[0],
+    _compare(report, "first entry of M_G^w", alg, mk.mat_omega(M)[0],
              alg.omega(joined), True, bound)
     return report
 

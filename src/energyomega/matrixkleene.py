@@ -1,4 +1,4 @@
-"""Generic square matrices over a star algebra and vectors over its semimodule.
+"""Generic square matrices over a star algebra; vectors are plain tuples.
 
 ``mat_star_vec``, ``mat_star``, ``mat_omega`` and ``mat_omega_k``
 share one elimination solve for the greatest solution of v = M v + c;
@@ -70,25 +70,11 @@ class SquareMatrix:
             raise DimensionMismatch("matrix must be square and nonempty")
 
 
-@dataclass(frozen=True)
-class ColumnVector:
-    algebra: StarAlgebra
-    entries: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-
 def matrix(algebra: StarAlgebra, rows: Sequence[Sequence[Any]]) -> SquareMatrix:
     return SquareMatrix(algebra, tuple(tuple(r) for r in rows))
 
 
-def vector(algebra: StarAlgebra, entries: Sequence[Any]) -> ColumnVector:
-    return ColumnVector(algebra, tuple(entries))
-
-
-def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, keep: Sequence[int]) -> list:
+def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, keep: Sequence[int]) -> tuple:
     """The entries at the states in ``keep``, in that order, of the
     greatest v with v = M v + c, counting the infinite runs iff ``omega``.
 
@@ -159,34 +145,33 @@ def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, keep: Sequence[int]) 
             if not is_vzero(v[j]):
                 d = vadd(d, act(y, v[j]))
         v[p] = d
-    return [v[p] for p in keep]
+    return tuple(v[p] for p in keep)
 
 
-def mat_star_vec(M: SquareMatrix, c: ColumnVector) -> ColumnVector:
+def mat_star_vec(M: SquareMatrix, c: Sequence[Any]) -> tuple:
     """The column M* c, without building M*."""
-    if M.dim != c.dim:
-        raise DimensionMismatch(f"matrix {M.dim} vs vector {c.dim}")
-    return vector(M.algebra, _solve(M, c.entries, False, range(M.dim)))
+    if M.dim != len(c):
+        raise DimensionMismatch(f"matrix {M.dim} vs vector {len(c)}")
+    return _solve(M, c, False, range(M.dim))
 
 
 def mat_star(M: SquareMatrix) -> SquareMatrix:
     """M*, column by column: column j is M* times the j-th unit vector."""
     alg, n = M.algebra, M.dim
-    units = [vector(alg, [alg.one if i == j else alg.zero for i in range(n)]) for j in range(n)]
-    return matrix(alg, list(zip(*(mat_star_vec(M, e).entries for e in units))))
+    units = [[alg.one if i == j else alg.zero for i in range(n)] for j in range(n)]
+    return matrix(alg, list(zip(*(mat_star_vec(M, e) for e in units))))
 
 
-def mat_omega(M: SquareMatrix) -> ColumnVector:
+def mat_omega(M: SquareMatrix) -> tuple:
     """Supremum over all infinite runs from each state."""
-    alg = M.algebra
-    return vector(alg, _solve(M, [alg.vzero] * M.dim, True, range(M.dim)))
+    return _solve(M, [M.algebra.vzero] * M.dim, True, range(M.dim))
 
 
-def mat_omega_k(M: SquareMatrix, k: int) -> ColumnVector:
+def mat_omega_k(M: SquareMatrix, k: int) -> tuple:
     """Omega restricted to runs hitting the first k states infinitely often."""
     if not 0 <= k <= M.dim:
         raise BadAcceptingCount(f"k={k} out of range for dimension {M.dim}")
-    return vector(M.algebra, mat_omega(flagged(M, [j < k for j in range(M.dim)])).entries)
+    return mat_omega(flagged(M, [j < k for j in range(M.dim)]))
 
 
 def flagged(M: SquareMatrix, flags: Sequence[bool]) -> SquareMatrix:

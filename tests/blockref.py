@@ -54,9 +54,9 @@ def mat_equal(M, N):
 
 
 def mat_vec_act(M, v):
-    if M.dim != v.dim:
-        raise DimensionMismatch(f"matrix {M.dim} vs vector {v.dim}")
-    return mk.vector(M.algebra, _act_rect(M.algebra, M.rows, v.entries))
+    if M.dim != len(v):
+        raise DimensionMismatch(f"matrix {M.dim} vs vector {len(v)}")
+    return tuple(_act_rect(M.algebra, M.rows, v))
 
 
 def _block(M, r0, r1, c0, c1):
@@ -120,13 +120,13 @@ def block_omega(M, split=None):
     """[[a, b], [c, d]]^w = [f^w + f* b d^w ; g^w + g* c a^w]."""
     alg = M.algebra
     if M.dim == 1:
-        return mk.vector(alg, [alg.omega(M.rows[0][0])])
+        return (alg.omega(M.rows[0][0]),)
     a, b, c, d, _, _, f, g = _split(M, split)
     fsb = _mul_rect(alg, block_star(f).rows, b)
     gsc = _mul_rect(alg, block_star(g).rows, c)
-    top = map(alg.vjoin, block_omega(f).entries, _act_rect(alg, fsb, block_omega(d).entries))
-    bottom = map(alg.vjoin, block_omega(g).entries, _act_rect(alg, gsc, block_omega(a).entries))
-    return mk.vector(alg, list(top) + list(bottom))
+    top = map(alg.vjoin, block_omega(f), _act_rect(alg, fsb, block_omega(d)))
+    bottom = map(alg.vjoin, block_omega(g), _act_rect(alg, gsc, block_omega(a)))
+    return (*top, *bottom)
 
 
 def block_omega_k(M, k):
@@ -135,7 +135,7 @@ def block_omega_k(M, k):
     alg = M.algebra
     n = M.dim
     if k == 0:
-        return mk.vector(alg, [alg.vzero] * n)
+        return (alg.vzero,) * n
     if k == n:
         return block_omega(M)
     a = mk.matrix(alg, _block(M, 0, k, 0, k))
@@ -143,6 +143,6 @@ def block_omega_k(M, k):
     c = _block(M, k, n, 0, k)
     d_star = block_star(mk.matrix(alg, _block(M, k, n, k, n))).rows
     f = mat_join(a, mk.matrix(alg, _mul_rect(alg, _mul_rect(alg, b, d_star), c)))
-    top = block_omega(f).entries
+    top = block_omega(f)
     bottom = _act_rect(alg, _mul_rect(alg, d_star, c), top)
-    return mk.vector(alg, list(top) + bottom)
+    return (*top, *bottom)

@@ -226,6 +226,17 @@ def test_eval_boolean_literal_is_error(tmp_path, capsys):
 
 
 _FN = {"bottom": {"boundary": "inf"}}
+
+
+def _one_edge(fn):
+    return {"states": ["a", "b"], "initial": ["a"], "accepting": ["b"],
+            "edges": [{"from": "a", "to": "b", "fn": fn}]}
+
+
+def _piece(start, intercept="0"):
+    return {"start": start, "intercept": intercept, "slope": "1"}
+
+
 MALFORMED_AUTOMATA = {
     "list-edge-endpoint": {"states": ["a", "b"], "initial": ["a"], "accepting": ["b"],
                            "edges": [{"from": ["a"], "to": "b", "fn": _FN}]},
@@ -233,6 +244,17 @@ MALFORMED_AUTOMATA = {
                         "edges": []},
     "string-states": {"states": "ab", "initial": ["a"], "accepting": ["b"], "edges": []},
     "string-initial": {"states": ["a", "b"], "initial": "a", "accepting": ["b"], "edges": []},
+    "dict-edges": {"states": ["a", "b"], "initial": ["a"], "accepting": ["b"], "edges": {}},
+    "fn-string-bottom": _one_edge({"bottom": "0"}),
+    "fn-dict-pieces": _one_edge({"bottom": {"boundary": "0"}, "pieces": {}}),
+    "fn-piece-without-slope": _one_edge(
+        {"bottom": {"boundary": "0"}, "pieces": [{"start": "0", "intercept": "0"}]}),
+    "fn-number-top": _one_edge({"bottom": {"boundary": "0"}, "pieces": [_piece("0")], "top": 5}),
+    "fn-negative-bottom": _one_edge({"bottom": {"boundary": "-1"}, "pieces": [_piece("-1")]}),
+    "fn-first-piece-off-bottom": _one_edge({"bottom": {"boundary": "0"}, "pieces": [_piece("1")]}),
+    "fn-top-inside-pieces": _one_edge({"bottom": {"boundary": "0"},
+                                       "pieces": [_piece("0"), _piece("2", "2")],
+                                       "top": {"boundary": "1"}}),
 }
 
 
@@ -247,7 +269,20 @@ def test_malformed_automaton_is_error(tmp_path, capsys, name):
 
 
 # ----------------------------------------------------------------------
-# golden outputs (bit-stable JSON)
+# golden outputs (bit-stable text and JSON)
+
+TEXT_RUNS = [
+    (["reach", PUMP, "--energy", "0", "--verify"], 0, "reachable: yes\nvalue: top\n"),
+    (["buchi", PUMP, "--energy", "0", "--verify"], 0, "buchi: yes\nvalue: from >= 0\n"),
+    (["buchi", DEC, "--energy", "0"], 1, "buchi: no\nvalue: never\n"),
+    (["star", PLUS2], 0,
+     'star: bot<0 top>=0\n{"bottom": {"boundary": "0", "bottom_at_boundary": false}, '
+     '"pieces": [], "top": {"boundary": "0", "top_at_boundary": true}}\n'),
+    (["omega", MIXED], 0,
+     'omega: from >= 3\n{"tag": "from", "threshold": "3", "inclusive": true}\n'),
+    (["wordcheck", "--identity", "omega-sum", "--cases", "1", "--bound", "5"], 0,
+     "omega-sum: Pass up to bound 5 (1 cases)\n"),
+]
 
 GOLDEN_RUNS = [
     ("reach_pump_0.json", ["reach", PUMP, "--energy", "0", "--verify"]),
@@ -263,6 +298,12 @@ GOLDEN_RUNS = [
      ["wordcheck", "--identity", "omega-sum", "--cases", "1", "--bound", "5"]),
     ("wordcheck_group_c2.json", ["wordcheck", "--identity", "group-C2", "--cases", "1"]),
 ]
+
+
+@pytest.mark.parametrize("argv,code,text", TEXT_RUNS, ids=[
+    "reach-pump", "buchi-pump", "buchi-dec", "star-plus2", "omega-mixed", "wordcheck-omega-sum"])
+def test_text_output(capsys, argv, code, text):
+    assert run(capsys, *argv) == (code, text, "")
 
 
 @pytest.mark.parametrize("golden,argv", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from energyomega import energyauto as ea
-from energyomega import energyfn, laws, matrixkleene as mk, omegaval
+from energyomega import cli, energyfn, laws, matrixkleene as mk, omegaval
 from energyomega.energyfn import CONST_BOTTOM, identity, shift
 from energyomega.errors import ParseError, VerificationFailed
 from energyomega.extlat import BOTTOM, TOP, finite
@@ -17,6 +18,8 @@ from energyomega.omegaval import NEVER, apply, from_threshold
 
 from blockref import block_omega_k, block_star
 from conftest import F, fn_pieces
+
+PUMP_JSON = str(pathlib.Path(__file__).parent / "golden" / "pump.json")
 
 
 def pump():
@@ -344,6 +347,22 @@ def test_reachable_verify_compares_values(monkeypatch):
         ea.reachable(aut, finite(3), verify=True)
 
 
+def test_buchi_verify_compares_answers(monkeypatch, capsys):
+    real = ea.oracle_buchi
+
+    def flipped(aut, x0):
+        res = real(aut, x0)
+        return ea.QueryResult(not res.answer, res.value, res.witness)
+
+    monkeypatch.setattr(ea, "oracle_buchi", flipped)
+    with pytest.raises(VerificationFailed, match="buchi: algebraic True vs oracle False"):
+        ea.buchi(pump(), finite(0), verify=True)
+    assert cli.main(["buchi", PUMP_JSON, "--energy", "0", "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: buchi: algebraic")
+
+
 # ----------------------------------------------------------------------
 # randomized properties
 
@@ -417,7 +436,7 @@ def test_queries_match_block_reference_large_n():
             rows = [[aut.matrix.rows[i][j] for j in order] for i in order]
             stacked = block_omega_k(mk.matrix(mk.ENERGY_ALGEBRA, rows), len(aut.accepting))
             want = NEVER
-            for entry, i in zip(stacked.entries, order):
+            for entry, i in zip(stacked, order):
                 if aut.states[i] in aut.initial:
                     want = omegaval.vjoin(want, entry)
             assert ea.buchi_value(aut) == want
@@ -434,11 +453,11 @@ def test_truncated_solve_matches_full_vector():
         aut = _random_automaton(rng, n)
         alg, rows = aut.matrix.algebra, aut.matrix.rows
         zeta = [alg.one if s in aut.accepting else alg.zero for s in aut.states]
-        column = mk.mat_star_vec(aut.matrix, mk.vector(alg, zeta)).entries
+        column = mk.mat_star_vec(aut.matrix, tuple(zeta))
         # the block reference reads its first k states as the accepting ones
         order = sorted(range(n), key=lambda i: aut.states[i] not in aut.accepting)
         permuted = mk.matrix(alg, [[rows[i][j] for j in order] for i in order])
-        stacked = block_omega_k(permuted, len(aut.accepting)).entries
+        stacked = block_omega_k(permuted, len(aut.accepting))
         omega = {i: entry for i, entry in zip(order, stacked)}
         picks = [set(), *({s} for s in aut.states), set(aut.states)]
         picks.append(set(rng.sample(aut.states, rng.randint(1, n))))
