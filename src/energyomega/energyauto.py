@@ -184,17 +184,6 @@ def _max_energies(
     return _stabilize(aut, energy)
 
 
-def _sustained(aut: EnergyAutomaton, s: int, z: ExtValue) -> bool:
-    """Can a run leave state s at a live energy z and come back no poorer?
-
-    Takes one real transition out of s and re-stabilizes, so inner
-    pumping loops anywhere on the return path are accounted for.
-    """
-    energy = {dst: f.eval(z) for dst, f in enumerate(aut.matrix.rows[s])}
-    energy, _ = _stabilize(aut, energy)
-    return energy[s] >= z
-
-
 def _top_probe(aut: EnergyAutomaton) -> Rational:
     """An energy z* at which every state that sustains at all sustains.
 
@@ -275,15 +264,18 @@ def oracle_buchi(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
     repeat that trip forever: the sustained set is upward closed, so each
     later visit arrives no poorer.  A top reach energy stands for
     unbounded finite levels; they sustain iff the energy ``_top_probe``
-    derives from the edges does.  So each reached accepting state takes
-    one ``_sustained`` call.
+    derives from the edges does.  Each reached accepting state s at live
+    energy z takes one re-stabilization, started from one real transition
+    out of s so that inner pumping loops anywhere on the return path count.
     """
     energy, walk = _max_energies(aut, x0)
     top_probe = finite(_top_probe(aut))
     for i, name in enumerate(aut.states):
         if name not in aut.accepting or energy[i].is_bottom:
             continue
-        if _sustained(aut, i, top_probe if energy[i].is_top else energy[i]):
+        z = top_probe if energy[i].is_top else energy[i]
+        back, _ = _stabilize(aut, {j: f.eval(z) for j, f in enumerate(aut.matrix.rows[i])})
+        if back[i] >= z:
             prefix = _witness_path(aut, walk, i)
             return QueryResult(True, energy[i], (prefix, (aut.states[i],)))
     return QueryResult(False, BOTTOM, None)

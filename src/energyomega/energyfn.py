@@ -282,7 +282,9 @@ def _sweep(cands: Iterable[Rational], laws_at) -> EnergyFunction:
     """The canonical function whose law at each finite q is ``laws_at(q)[0]``.
 
     The law may change only at a candidate, so reading it at every grid
-    point and just above it determines the function.
+    point and just above it determines the function.  Some reading is live:
+    ``join``'s operands live at their bottom boundaries, and ``compose``'s
+    unbounded f reaches g's bottom boundary at a grid point or just above.
     """
     b = t = None
     b_flag = t_flag = False
@@ -303,8 +305,6 @@ def _sweep(cands: Iterable[Rational], laws_at) -> EnergyFunction:
             # the gap after a finite point: the point's value must start it
             assert pieces.pop().intercept == c, "right-continuity violated at a point"
         pieces.append(Piece(lo, c, slope))
-    if b is None:
-        return CONST_BOTTOM
     return _canonical(b, b_flag, pieces, t, t_flag)
 
 

@@ -6,10 +6,9 @@ ordered as bottom < 0 <= q < top.  All arithmetic is exact.
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ParseError
 
@@ -28,48 +27,34 @@ _FIN_RANK = 1
 _TOP_RANK = 2
 
 
-@functools.total_ordering
-class ExtValue:
-    """Immutable element of the lattice [0, top] with bottom adjoined."""
+class ExtValue(NamedTuple):
+    """Immutable element of the lattice [0, top] with bottom adjoined.
 
-    __slots__ = ("_rank", "_value")
+    The pair (rank, finite value), with rank 0 for bottom, 1 for a finite
+    value and 2 for top, and no finite value on bottom and top: tuple
+    order, equality and hash are the lattice's.
+    """
 
-    def __init__(self, rank: int, value: Rational | None):
-        self._rank = rank
-        self._value = value
+    rank: int
+    finite_value: Rational | None
 
     @property
     def is_bottom(self) -> bool:
-        return self._rank == _BOT_RANK
+        return self.rank == _BOT_RANK
 
     @property
     def is_top(self) -> bool:
-        return self._rank == _TOP_RANK
+        return self.rank == _TOP_RANK
 
     @property
     def is_finite(self) -> bool:
-        return self._rank == _FIN_RANK
+        return self.rank == _FIN_RANK
 
     @property
     def value(self) -> Rational:
-        if self._value is None:
+        if self.finite_value is None:
             raise ValueError("no finite value on bottom/top")
-        return self._value
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        return self._rank == other._rank and self._value == other._value
-
-    def __lt__(self, other: "ExtValue") -> bool:
-        if self._rank != other._rank:
-            return self._rank < other._rank
-        if self._rank == _FIN_RANK:
-            return self._value < other._value
-        return False
-
-    def __hash__(self) -> int:
-        return hash((self._rank, self._value))
+        return self.finite_value
 
     def __repr__(self) -> str:
         return f"ExtValue({format_ext(self)!r})"

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from . import energyfn
 from .energyfn import EnergyFunction
-from .extlat import ExtValue, Rational, RationalLike, as_fraction
+from .extlat import ExtValue, Rational, RationalLike, as_fraction, finite
 
 
 @dataclass(frozen=True)
@@ -46,24 +46,16 @@ def from_threshold(t: RationalLike, inclusive: bool = True) -> ThresholdPredicat
 
 def apply(v: ThresholdPredicate, x: ExtValue) -> bool:
     """Evaluate the predicate; True stands for top in the 2-element lattice."""
-    if v.is_never or x.is_bottom:
+    if v.is_never:
         return False
-    if x.is_top:
-        return True
-    if v.inclusive:
-        return x.value >= v.threshold
-    return x.value > v.threshold
+    t = finite(v.threshold)
+    return x >= t if v.inclusive else x > t
 
 
 def vjoin(v: ThresholdPredicate, w: ThresholdPredicate) -> ThresholdPredicate:
-    """Pointwise supremum: the weaker threshold wins."""
-    if v.is_never:
-        return w
-    if w.is_never:
-        return v
-    if v.threshold != w.threshold:
-        return v if v.threshold < w.threshold else w
-    return v if v.inclusive else w
+    """Pointwise supremum: the weaker threshold wins, inclusive on a tie."""
+    # two nevers have equal keys, so their None thresholds are never ordered
+    return min(v, w, key=lambda p: (p.is_never, p.threshold, not p.inclusive))
 
 
 def act(f: EnergyFunction, v: ThresholdPredicate) -> ThresholdPredicate:

@@ -68,6 +68,20 @@ def test_cmp_examples():
     assert ext_cmp(finite(Fraction(4, 2)), finite(2)) == 0
 
 
+@pytest.mark.parametrize("x", [BOTTOM, TOP], ids=format_ext)
+def test_no_finite_value_off_the_finite_rank(x):
+    with pytest.raises(ValueError):
+        x.value
+
+
+def test_finite_value_is_not_a_number():
+    assert finite(1) != 1
+
+
+def test_equal_values_hash_alike():
+    assert {finite(2): 0}[finite(Fraction(4, 2))] == 0
+
+
 def test_total_order_chain():
     assert BOTTOM < finite(0) < finite(Fraction(1, 2)) < finite(3) < TOP
 

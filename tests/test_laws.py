@@ -177,6 +177,8 @@ def test_conway_word():
 def test_conway_unknown_instance():
     with pytest.raises(UnknownIdentity):
         laws.check_conway("matrix")
+    with pytest.raises(UnknownIdentity):
+        laws.run_suite("matrix")
 
 
 WRONG_SIDES = {

@@ -97,6 +97,14 @@ def test_equal_rejects_alphabet_mismatch():
         wm.lang_equal(rx("a"), wordref.parse_regex("a", ("a", "c")))
 
 
+def test_symbol_and_lasso_reject_alphabet_mismatch():
+    with pytest.raises(AlphabetMismatch):
+        wm.lang_symbol("c", "ab")
+    other = wordref.parse_regex("a", ("a", "c"))
+    with pytest.raises(AlphabetMismatch):
+        wm.lasso([(rx("a"), rx("b")), (other, other)])
+
+
 def test_is_empty():
     assert lang_is_empty(rx("0"))
     assert lang_is_empty(wm.lang_concat(rx("a"), rx("0")))
@@ -230,6 +238,9 @@ def test_lasso_equal_bounded_reflexive():
     w = wm.lasso([(rx("a*"), rx("a.b"))])
     verdict = wm.lasso_equal_bounded(w, w, 4)
     assert verdict.equal and verdict.bound == 4
+    assert str(verdict) == "equal up to 4"
+    with pytest.raises(ValueError):
+        wm.lasso_equal_bounded(w, w, 0)
 
 
 def test_lasso_equal_bounded_power_collapse():
