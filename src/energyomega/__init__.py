@@ -1,86 +1,10 @@
-"""Energy functions, omega values and automata over the extended lattice."""
+"""Energy functions, omega values and automata; other names live in their modules."""
 
-from . import energyauto, energyfn, extlat, matrixkleene, omegaval
-from .errors import (
-    AlphabetMismatch,
-    BadAcceptingCount,
-    BudgetExceeded,
-    DimensionMismatch,
-    EnergyOmegaError,
-    EpsilonInOmegaBase,
-    InvalidGroupTable,
-    InvalidRegrouping,
-    MalformedPieces,
-    NegativeValue,
-    NonMonotone,
-    ParseError,
-    SlopeTooSmall,
-    UnknownIdentity,
-    ValidationError,
-    VerificationFailed,
-)
-from .extlat import BOTTOM, TOP, ExtValue, finite, format_ext, parse_ext
-from .energyfn import CONST_BOTTOM, EnergyFunction, Piece, identity, shift
-from .omegaval import NEVER, ThresholdPredicate, from_threshold
-from .matrixkleene import (
-    ENERGY_ALGEBRA,
-    SquareMatrix,
-    StarAlgebra,
-    mat_omega,
-    mat_omega_k,
-    mat_star,
-)
-from .energyauto import EnergyAutomaton, QueryResult, automaton, buchi, reachable
+from .energyauto import automaton, buchi, reachable
+from .energyfn import shift
+from .extlat import finite
 
-__all__ = [
-    "energyauto",
-    "energyfn",
-    "extlat",
-    "laws",
-    "matrixkleene",
-    "omegaval",
-    "wordmodel",
-    "AlphabetMismatch",
-    "BadAcceptingCount",
-    "BudgetExceeded",
-    "DimensionMismatch",
-    "EnergyOmegaError",
-    "EpsilonInOmegaBase",
-    "InvalidGroupTable",
-    "InvalidRegrouping",
-    "MalformedPieces",
-    "NegativeValue",
-    "NonMonotone",
-    "ParseError",
-    "SlopeTooSmall",
-    "UnknownIdentity",
-    "ValidationError",
-    "VerificationFailed",
-    "BOTTOM",
-    "TOP",
-    "ExtValue",
-    "finite",
-    "format_ext",
-    "parse_ext",
-    "CONST_BOTTOM",
-    "EnergyFunction",
-    "Piece",
-    "identity",
-    "shift",
-    "NEVER",
-    "ThresholdPredicate",
-    "from_threshold",
-    "ENERGY_ALGEBRA",
-    "SquareMatrix",
-    "StarAlgebra",
-    "mat_omega",
-    "mat_omega_k",
-    "mat_star",
-    "EnergyAutomaton",
-    "QueryResult",
-    "automaton",
-    "buchi",
-    "reachable",
-]
+__all__ = ["energyauto", "energyfn", "extlat", "laws", "matrixkleene", "omegaval", "wordmodel",
+           "automaton", "buchi", "finite", "reachable", "shift"]
 
 __version__ = "0.1.0"

@@ -37,12 +37,6 @@ class EnergyAutomaton:
     def dim(self) -> int:
         return len(self.states)
 
-    def index(self, name: Hashable) -> int:
-        return self.states.index(name)
-
-    def edge(self, src: Hashable, dst: Hashable) -> EnergyFunction:
-        return self.matrix.rows[self.index(src)][self.index(dst)]
-
 
 @dataclass(frozen=True)
 class QueryResult:

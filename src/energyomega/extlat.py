@@ -121,10 +121,6 @@ def finite(q: RationalLike) -> ExtValue:
     return ExtValue(_FIN_RANK, frac)
 
 
-def ext_join(x: ExtValue, y: ExtValue) -> ExtValue:
-    return y if x < y else x
-
-
 def format_ext(x: ExtValue) -> str:
     if x.is_bottom:
         return "bot"

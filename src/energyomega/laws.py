@@ -550,7 +550,7 @@ def run_suite(instance: str = "energy", seed: int = 0, cases: int = 20) -> List[
         reports.append(check_conway("energy", seed=seed, cases=cases))
         for name in ("C2", "C3", "C4", "klein"):
             rep = LawReport(f"group-{name}", "energy", seed=seed)
-            for _ in range(max(1, cases // 5)):
+            for _ in range(min(cases, max(1, cases // 5))):
                 elems = [
                     random_energy_function(rng)
                     for _ in range(len(GROUP_TABLES[name]))
@@ -558,9 +558,9 @@ def run_suite(instance: str = "energy", seed: int = 0, cases: int = 20) -> List[
                 _merge(rep, check_group_identity(name, elems, "energy"))
             reports.append(rep)
     elif instance == "word":
-        reports.append(check_conway("word", seed=seed, cases=max(1, cases // 4)))
+        reports.append(check_conway("word", seed=seed, cases=min(cases, max(1, cases // 4))))
         rep = LawReport("group-C2", "word", seed=seed)
-        for _ in range(max(1, cases // 10)):
+        for _ in range(min(cases, max(1, cases // 10))):
             elems = [random_regex(rng, "ab", epsilon_free=True) for _ in range(2)]
             _merge(rep, check_group_identity("C2", elems, "word"))
         reports.append(rep)

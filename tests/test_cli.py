@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import energyomega
 from energyomega import cli, energyauto, energyfn, laws
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -311,6 +312,15 @@ def test_golden_output(capsys, golden, argv):
     cli.main(argv + ["--format", "json"])
     out = capsys.readouterr().out
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_package_root_exports_only_the_documented_names():
+    submodules = ["energyauto", "energyfn", "extlat", "laws", "matrixkleene", "omegaval", "wordmodel"]
+    names = ["automaton", "buchi", "finite", "reachable", "shift"]
+    assert sorted(energyomega.__all__) == sorted(submodules + names)
+    namespace = {}
+    exec("from energyomega import *", namespace)
+    assert all(name in namespace for name in energyomega.__all__)
 
 
 def test_cli_import_leaves_laws_and_word_model_unloaded():

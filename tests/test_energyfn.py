@@ -22,7 +22,7 @@ from energyomega.errors import (
     ParseError,
     SlopeTooSmall,
 )
-from energyomega.extlat import BOTTOM, TOP, ext_join, finite
+from energyomega.extlat import BOTTOM, TOP, finite
 
 from conftest import F, fn_pieces
 from witnessref import local_finiteness_witness
@@ -286,7 +286,7 @@ def test_compose_join_pointwise():
         mids += [q + 1 for q in grid[-1:]]
         for x in pts + [finite(q) for q in grid + mids]:
             assert c.eval(x) == g.eval(f.eval(x))
-            assert j.eval(x) == ext_join(f.eval(x), g.eval(x))
+            assert j.eval(x) == max(f.eval(x), g.eval(x))
 
 
 # ----------------------------------------------------------------------

@@ -375,6 +375,11 @@ def test_suite_word_clean():
         assert report.verdict == "Pass", (report.law, report.failures)
 
 
+@pytest.mark.parametrize("instance", ["energy", "word"])
+def test_suite_zero_cases_runs_none(instance):
+    assert {report.cases for report in laws.run_suite(instance, cases=0)} == {0}
+
+
 def test_report_json_shape():
     report = laws.check_ax0(identity(), shift(-1), identity(), SAMPLES)
     doc = report.to_json()

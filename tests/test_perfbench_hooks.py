@@ -8,9 +8,14 @@ otherwise only show when ``perfbench/run.py --trace 1`` fails.
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
-LAYERS_PY = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+LAYERS_PY = ROOT / "perfbench" / "layers.py"
 
 
 def _layers():
@@ -33,3 +38,19 @@ def test_word_caches_report_stats():
     for fn in (wordmodel._dfa, wordmodel._buchi_for_pair):
         info = fn.cache_info()
         assert info.hits >= 0 and info.misses >= 0
+
+
+def test_traced_cli_runs_reach(tmp_path):
+    """The tracer's ``install()`` and ``counters()`` also reach names that
+    ``LAYERS`` does not list; one traced command exercises all of them."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    spans = tmp_path / "spans.json"
+    golden = ROOT / "tests" / "golden"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(spans), "q", "--",
+         "reach", str(golden / "pump.json"), "--energy", "0", "--verify", "--format", "json"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (golden / "reach_pump_0.json").read_text()
+    assert "energyauto.reach_value" in json.loads(spans.read_text())["names"]

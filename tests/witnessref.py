@@ -10,7 +10,7 @@ from typing import Optional
 
 from energyomega.energyfn import EnergyFunction
 from energyomega.errors import BudgetExceeded
-from energyomega.extlat import ExtValue, ext_join
+from energyomega.extlat import ExtValue
 
 
 @dataclass(frozen=True)
@@ -40,5 +40,5 @@ def local_finiteness_witness(
         if y.is_top or y.is_finite:
             return WitnessReport("diverges", n, None)
         y = fy
-        sup = ext_join(sup, y)
+        sup = max(sup, y)
     raise BudgetExceeded(f"no certificate within {max_n} iterations")
