@@ -98,7 +98,7 @@ def cmd_laws(args) -> int:
 
 
 def cmd_wordcheck(args) -> int:
-    from . import laws, wordmodel
+    from . import laws
 
     identities = (*laws.IDENTITIES, "group-C2")
     if args.identity not in identities:
@@ -108,15 +108,14 @@ def cmd_wordcheck(args) -> int:
     if not args.alphabet:
         raise ParseError("alphabet must not be empty")
     rng = random.Random(args.seed)
-    alg = wordmodel.word_algebra(args.alphabet)
+    alg, draw = laws.model("word", args.alphabet)
     failures = []
     for _ in range(args.cases):
-        x = laws.random_regex(rng, args.alphabet, epsilon_free=True)
-        y = laws.random_regex(rng, args.alphabet, epsilon_free=True)
+        x, y = draw(rng), draw(rng)
+        report = laws.LawReport(args.identity, "word")
         if args.identity == "group-C2":
-            report = laws.check_group_identity("C2", [x, y], "word", bound=args.bound)
+            laws.check_group_identity(report, "C2", alg, [x, y], args.bound)
         else:
-            report = laws.LawReport(args.identity, "word")
             laws.check_identity(report, args.identity, alg, x, y, args.bound)
         if report.unknowns:
             # out of budget: an error, never a counterexample

@@ -1,9 +1,11 @@
 """Executable checkers for the algebra laws and named identities.
 
-Each checker compares two sides of a law on concrete inputs and returns
-a LawReport.  Laws whose right side is an infinite supremum (Ax0, Ax3,
-Ax4, bi-inductive) are compared with ``energyauto``'s relaxation oracles
-on a small automaton built from their operands (``_oracle_cases``).
+Each checker compares two sides of a law on concrete inputs and adds
+its cases to the LawReport it is given, which names the law and the
+instance; ``model`` picks an instance's algebra and operand draw.  Laws
+whose right side is an infinite supremum (Ax0, Ax3, Ax4, bi-inductive)
+are compared with ``energyauto``'s relaxation oracles on a small
+automaton built from their operands (``_oracle_cases``).
 Every other case compares two algebra values in ``_compare``, which
 reports a word-model failure as L1/L2, or W1/W2 with a lasso
 counterexample, and a comparison that raises BudgetExceeded as Unknown.
@@ -14,10 +16,12 @@ randomness is seeded, so every failure is replayable.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import energyauto, energyfn, matrixkleene as mk, omegaval, wordmodel
@@ -55,21 +59,7 @@ class LawReport:
         return "Pass"
 
     def to_json(self) -> dict:
-        def dump(cs: List[LawCase]) -> list:
-            return [
-                {"inputs": c.inputs, "lhs": c.lhs, "rhs": c.rhs, "sample": c.sample}
-                for c in cs
-            ]
-
-        return {
-            "law": self.law,
-            "instance": self.instance,
-            "cases": self.cases,
-            "verdict": self.verdict,
-            "failures": dump(self.failures),
-            "unknowns": dump(self.unknowns),
-            "seed": self.seed,
-        }
+        return {**asdict(self), "verdict": self.verdict}
 
 
 # ----------------------------------------------------------------------
@@ -162,6 +152,23 @@ def random_regex(rng: random.Random, alphabet: str, epsilon_free: bool = False):
     return gen(2, epsilon_free)
 
 
+def model(instance: str, alphabet: str = "ab") -> Tuple[mk.StarAlgebra, Callable]:
+    """The instance's algebra, and a draw of one seeded operand from an rng."""
+    if instance == "energy":
+        return mk.ENERGY_ALGEBRA, random_energy_function
+    if instance == "word":
+        alg = wordmodel.word_algebra(alphabet)
+        return alg, lambda rng: random_regex(rng, alphabet, epsilon_free=True)
+    raise UnknownIdentity(f"unknown instance {instance!r}")
+
+
+def _named(table: dict, name: str):
+    """The `table` entry called `name`; UnknownIdentity if there is none."""
+    if name not in table:
+        raise UnknownIdentity(f"unknown identity {name!r}; choose from {', '.join(table)}")
+    return table[name]
+
+
 # ----------------------------------------------------------------------
 # The infinite suprema, decided by the relaxation oracles.  Each law's
 # automaton has states 0..n-1 and initial state 0; parallel edges, such
@@ -194,17 +201,16 @@ def _oracle_cases(
 
 
 def check_ax0(
+    report: LawReport,
     f: EnergyFunction,
     g: EnergyFunction,
     h: EnergyFunction,
     samples: Sequence[ExtValue],
-) -> LawReport:
+) -> None:
     """Compare f g* h with the best run of 0 -f-> 1 -g-> 1 -h-> 2."""
-    report = LawReport("ax0", "energy")
     lhs = energyfn.compose(energyfn.compose(f, energyfn.star(g)), h)
     aut = energyauto.automaton(range(3), [0], [2], [(0, 1, f), (1, 1, g), (1, 2, h)])
     _oracle_cases(report, f"f={f}; g={g}; h={h}", lhs, aut, samples)
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -217,58 +223,45 @@ def _regrouped_lasso(
     head: int,
     blocks: Sequence[int],
 ) -> Tuple[List[EnergyFunction], List[EnergyFunction]]:
-    """Peel `head` elements, then group the cyclic tail by the block sizes."""
+    """Peel `head` elements, then group the tail by the block sizes, in
+    whole rounds of the blocks: enough rounds to pass the prefix, then a
+    cycle of rounds that returns to the same cycle position."""
     if head < 0:
         raise InvalidRegrouping("head must be nonnegative")
     blocks = list(blocks)
     if not blocks or any(b <= 0 for b in blocks):
         raise InvalidRegrouping("blocks must be positive and nonempty")
-    prefix = list(prefix)
-    cycle = list(cycle)
 
     def element(n: int) -> EnergyFunction:
         if n < len(prefix):
             return prefix[n]
         return cycle[(n - len(prefix)) % len(cycle)]
 
-    new_prefix = [element(n) for n in range(head)]
-    pos = head
-    while pos < len(prefix):
-        # keep peeling whole blocks until the tail is purely cyclic
-        new_prefix.append(omegaval.compose_all([element(pos + i) for i in range(blocks[0])]))
-        pos += blocks[0]
-        blocks = blocks[1:] + blocks[:1]
-    # group until the (phase, block index) state recurs; that span is one period
-    period = len(cycle)
-    start = ((pos - len(prefix)) % period, 0)
-    block_idx = 0
-    new_cycle = []
-    while True:
-        b = blocks[block_idx]
-        new_cycle.append(omegaval.compose_all([element(pos + i) for i in range(b)]))
-        pos += b
-        block_idx = (block_idx + 1) % len(blocks)
-        if ((pos - len(prefix)) % period, block_idx) == start:
-            break
+    def grouped(start: int, rounds: int) -> List[EnergyFunction]:
+        ends = list(accumulate(blocks * rounds, initial=start))
+        return [omegaval.compose_all([element(n) for n in range(a, b)])
+                for a, b in zip(ends, ends[1:])]
+
+    per_round = sum(blocks)
+    rounds = -(-max(0, len(prefix) - head) // per_round)
+    new_prefix = [element(n) for n in range(head)] + grouped(head, rounds)
+    new_cycle = grouped(head + rounds * per_round, len(cycle) // math.gcd(per_round, len(cycle)))
     return new_prefix, new_cycle
 
 
 def check_ax1_ax2(
+    report: LawReport,
     prefix: Sequence[EnergyFunction],
     cycle: Sequence[EnergyFunction],
     regrouping: Tuple[int, Sequence[int]],
-) -> LawReport:
-    report = LawReport("ax1-ax2", "energy")
+) -> None:
     head, blocks = regrouping
     lhs = omegaval.infinite_product_lasso(prefix, cycle)
     new_prefix, new_cycle = _regrouped_lasso(prefix, cycle, head, blocks)
     rhs = omegaval.infinite_product_lasso(new_prefix, new_cycle)
-    inputs = (
-        f"prefix={[str(p) for p in prefix]}; cycle={[str(c) for c in cycle]}; "
-        f"head={head}; blocks={list(blocks)}"
-    )
-    _compare(report, inputs, mk.ENERGY_ALGEBRA, lhs, rhs, omega=True)
-    return report
+    inputs = (f"prefix={[str(p) for p in prefix]}; cycle={[str(c) for c in cycle]}; "
+              f"head={head}; blocks={list(blocks)}")
+    _compare(report, inputs, None, lhs, rhs, omega=True)
 
 
 # ----------------------------------------------------------------------
@@ -276,12 +269,13 @@ def check_ax1_ax2(
 
 
 def check_ax3(
+    report: LawReport,
     prefix: Sequence[EnergyFunction],
     cycle: Sequence[EnergyFunction],
     y: EnergyFunction,
     z: EnergyFunction,
     samples: Sequence[ExtValue],
-) -> LawReport:
+) -> None:
     """Compare prod x_n (y v z) with the join over choice sequences.
 
     The right side holds where the lasso of positions has an accepting
@@ -299,13 +293,9 @@ def check_ax3(
         nxt = 2 * (n + 1 if n + 1 < len(xs) else len(prefix))
         edges += [(2 * n, 2 * n + 1, x), (2 * n + 1, nxt, y), (2 * n + 1, nxt, z)]
     aut = energyauto.automaton(range(2 * len(xs)), [0], [2 * len(prefix)], edges)
-    inputs = (
-        f"prefix={[str(p) for p in prefix]}; cycle={[str(c) for c in cycle]}; "
-        f"y={y}; z={z}"
-    )
-    report = LawReport("ax3", "energy")
+    inputs = (f"prefix={[str(p) for p in prefix]}; cycle={[str(c) for c in cycle]}; "
+              f"y={y}; z={z}")
     _oracle_cases(report, inputs, lhs, aut, samples)
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -313,10 +303,11 @@ def check_ax3(
 
 
 def check_ax4(
+    report: LawReport,
     f: EnergyFunction,
     cycle: Sequence[EnergyFunction],
     samples: Sequence[ExtValue],
-) -> LawReport:
+) -> None:
     """Compare prod f* y_n with the join over exponent sequences.
 
     The right side holds where some accepted run, for each y_n, steps
@@ -325,18 +316,14 @@ def check_ax4(
     accepted run takes finitely many f steps between y steps.
     """
     fstar = energyfn.star(f)
-    lhs = omegaval.infinite_product_lasso(
-        [], [energyfn.compose(fstar, y) for y in cycle]
-    )
+    lhs = omegaval.infinite_product_lasso([], [energyfn.compose(fstar, y) for y in cycle])
     edges = []
     for n, y in enumerate(cycle):
         nxt = 2 * ((n + 1) % len(cycle))
         edges += [(2 * n, 2 * n + 1, energyfn.identity()), (2 * n + 1, 2 * n + 1, f),
                   (2 * n + 1, nxt, y)]
     aut = energyauto.automaton(range(2 * len(cycle)), [0], range(0, 2 * len(cycle), 2), edges)
-    report = LawReport("ax4", "energy")
     _oracle_cases(report, f"f={f}; cycle={[str(c) for c in cycle]}", lhs, aut, samples)
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -379,11 +366,11 @@ def _compare(
 ) -> bool:
     """Count, decide and record one case comparing two algebra values.
 
-    Semiring values are decided by ``alg.equal``; omega values by ``==``
-    on energy and on every lasso up to `bound` on words.  An energy
-    failure records both sides.  A word-model failure records L1/L2, or
-    W1/W2 with the lasso counterexample as its sample, because a
-    RegularLang has no readable str.  A comparison that raises
+    Semiring values are decided by ``alg.equal``; omega values, without
+    `alg`, by ``==`` on energy and on every lasso up to `bound` on words.
+    An energy failure records both sides.  A word-model failure records
+    L1/L2, or W1/W2 with the lasso counterexample as its sample, because
+    a RegularLang has no readable str.  A comparison that raises
     BudgetExceeded is Unknown.  Returns whether the case was decided.
     """
     report.cases += 1
@@ -411,31 +398,20 @@ def _compare(
 
 def check_identity(report: LawReport, name: str, alg, x, y, bound: int = 5) -> None:
     """Add one case of the IDENTITIES row `name` at (x, y) to the report."""
-    law, sides, omega = IDENTITIES[name]
+    law, sides, omega = _named(IDENTITIES, name)
     inputs = f"{law}; x={x}; y={y}" if report.instance == "energy" else law
     _compare(report, inputs, alg, *sides(alg, x, y), omega, bound)
 
 
-def check_conway(
-    instance: str = "energy",
-    seed: int = 0,
-    cases: int = 25,
-    bound: int = 5,
-) -> LawReport:
-    if instance == "energy":
-        alg, draw = mk.ENERGY_ALGEBRA, random_energy_function
-    elif instance == "word":
-        alg = wordmodel.word_algebra("ab")
-        draw = lambda rng: random_regex(rng, "ab", epsilon_free=True)
-    else:
-        raise UnknownIdentity(f"unknown instance {instance!r}")
-    report = LawReport("conway", instance, seed=seed)
-    rng = random.Random(seed)
+def check_conway(report: LawReport, cases: int = 25, bound: int = 5) -> None:
+    """Add every IDENTITIES row at `cases` operand pairs of the report's
+    instance, drawn from its seed."""
+    alg, draw = model(report.instance)
+    rng = random.Random(report.seed)
     for _ in range(cases):
         x, y = draw(rng), draw(rng)
         for name in IDENTITIES:
             check_identity(report, name, alg, x, y, bound)
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -451,23 +427,18 @@ GROUP_TABLES = {
 
 
 def check_group_identity(
-    group: str, elements: Sequence, instance: str = "energy", bound: int = 5
-) -> LawReport:
+    report: LawReport, group: str, alg, elements: Sequence, bound: int = 5
+) -> None:
     """Row sums of the group matrix against star/omega of the joined elements.
 
     `group` names a GROUP_TABLES entry.  The check ends at its first
     Unknown case.
     """
-    table = GROUP_TABLES[group]
+    table = _named(GROUP_TABLES, group)
     n = len(table)
     if len(elements) != n:
         raise InvalidGroupTable(f"need {n} elements, got {len(elements)}")
     inv = [row.index(0) for row in table]
-    report = LawReport(f"group-{group}", instance)
-    if instance == "energy":
-        alg = mk.ENERGY_ALGEBRA
-    else:
-        alg = wordmodel.word_algebra(elements[0].alphabet)
     rows = [[elements[table[inv[i]][j]] for j in range(n)] for i in range(n)]
     M = mk.matrix(alg, rows)
     joined = reduce(alg.join, elements)
@@ -477,10 +448,9 @@ def check_group_identity(
     expected = alg.star(joined)
     for i, row_sum in enumerate(row_sums):
         if not _compare(report, f"row {i} of M_G*", alg, row_sum, expected, False, bound):
-            return report
+            return
     _compare(report, "first entry of M_G^w", alg, mk.mat_omega(M)[0],
              alg.omega(joined), True, bound)
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -488,19 +458,19 @@ def check_group_identity(
 
 
 def check_bi_inductive(
+    report: LawReport,
     f: EnergyFunction,
     v: ThresholdPredicate,
     samples: Sequence[ExtValue],
-) -> LawReport:
+) -> None:
     """w = f^w + f* v refolds to f w + v, and holds exactly where an
     accepting f-loop with an edge, alive where v holds, into an accepting
     identity loop has an accepting run."""
-    report = LawReport("bi-inductive", "energy")
     w = omegaval.vjoin(omegaval.omega(f), omegaval.act(energyfn.star(f), v))
     inputs = f"f={f}; v={v}"
 
     refolded = omegaval.vjoin(omegaval.act(f, w), v)
-    _compare(report, inputs, mk.ENERGY_ALGEBRA, w, refolded, omega=True)
+    _compare(report, inputs, None, w, refolded, omega=True)
 
     # v as an edge: bottom where v fails, top where it holds
     where_v = (
@@ -513,7 +483,6 @@ def check_bi_inductive(
     # The top energy is excluded: predicates identify top with arbitrarily
     # large finite levels, so no predicate is true at top alone.
     _oracle_cases(report, inputs, w, aut, [x for x in samples if not x.is_top])
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -521,55 +490,34 @@ def check_bi_inductive(
 
 
 def run_suite(instance: str = "energy", seed: int = 0, cases: int = 20) -> List[LawReport]:
+    """One report per law.  The Conway identities draw from their own
+    Random(seed), every other law from one shared Random(seed)."""
+    alg, draw = model(instance)
+    energy = instance == "energy"
     rng = random.Random(seed)
     reports: List[LawReport] = []
-    if instance == "energy":
-        ax0 = LawReport("ax0", "energy", seed=seed)
-        ax12 = LawReport("ax1-ax2", "energy", seed=seed)
-        ax3 = LawReport("ax3", "energy", seed=seed)
-        ax4 = LawReport("ax4", "energy", seed=seed)
-        bi = LawReport("bi-inductive", "energy", seed=seed)
+
+    def report(law: str) -> LawReport:
+        reports.append(LawReport(law, instance, seed=seed))
+        return reports[-1]
+
+    if energy:
+        ax0, ax12, ax3, ax4, bi = map(report, ("ax0", "ax1-ax2", "ax3", "ax4", "bi-inductive"))
         for _ in range(cases):
-            f, g, h = (random_energy_function(rng) for _ in range(3))
-            _merge(ax0, check_ax0(f, g, h, random_samples(rng, 6)))
-            prefix = [random_energy_function(rng) for _ in range(rng.randint(0, 2))]
-            cycle = [random_energy_function(rng) for _ in range(rng.randint(1, 2))]
+            f, g, h = (draw(rng) for _ in range(3))
+            check_ax0(ax0, f, g, h, random_samples(rng, 6))
+            prefix = [draw(rng) for _ in range(rng.randint(0, 2))]
+            cycle = [draw(rng) for _ in range(rng.randint(1, 2))]
             head = rng.randint(0, 3)
             blocks = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
-            _merge(ax12, check_ax1_ax2(prefix, cycle, (head, blocks)))
+            check_ax1_ax2(ax12, prefix, cycle, (head, blocks))
             pts = random_samples(rng, 6)
-            _merge(ax3, check_ax3(prefix[:1], cycle[:1], f, g, pts))
-            _merge(ax4, check_ax4(f, cycle[:1], pts))
-            _merge(
-                bi,
-                check_bi_inductive(
-                    f, random_predicate(rng), random_samples(rng, 6)
-                ),
-            )
-        reports += [ax0, ax12, ax3, ax4, bi]
-        reports.append(check_conway("energy", seed=seed, cases=cases))
-        for name in ("C2", "C3", "C4", "klein"):
-            rep = LawReport(f"group-{name}", "energy", seed=seed)
-            for _ in range(min(cases, max(1, cases // 5))):
-                elems = [
-                    random_energy_function(rng)
-                    for _ in range(len(GROUP_TABLES[name]))
-                ]
-                _merge(rep, check_group_identity(name, elems, "energy"))
-            reports.append(rep)
-    elif instance == "word":
-        reports.append(check_conway("word", seed=seed, cases=min(cases, max(1, cases // 4))))
-        rep = LawReport("group-C2", "word", seed=seed)
-        for _ in range(min(cases, max(1, cases // 10))):
-            elems = [random_regex(rng, "ab", epsilon_free=True) for _ in range(2)]
-            _merge(rep, check_group_identity("C2", elems, "word"))
-        reports.append(rep)
-    else:
-        raise UnknownIdentity(f"unknown instance {instance!r}")
+            check_ax3(ax3, prefix[:1], cycle[:1], f, g, pts)
+            check_ax4(ax4, f, cycle[:1], pts)
+            check_bi_inductive(bi, f, random_predicate(rng), random_samples(rng, 6))
+    check_conway(report("conway"), cases if energy else min(cases, max(1, cases // 4)))
+    for name in GROUP_TABLES if energy else ("C2",):
+        group = report(f"group-{name}")
+        for _ in range(min(cases, max(1, cases // (5 if energy else 10)))):
+            check_group_identity(group, name, alg, [draw(rng) for _ in GROUP_TABLES[name]])
     return reports
-
-
-def _merge(into: LawReport, part: LawReport) -> None:
-    into.cases += part.cases
-    into.failures += part.failures
-    into.unknowns += part.unknowns

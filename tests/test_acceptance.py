@@ -155,7 +155,8 @@ def test_criterion_6_free_model():
         assert report.verdict == "Pass", (x, y)
         laws.check_identity(report, "product-star", alg, x, y, 6)
         assert report.verdict == "Pass", (x, y)
-        group = laws.check_group_identity("C2", [x, y], "word", bound=6)
+        group = laws.LawReport("group-C2", "word")
+        laws.check_group_identity(group, "C2", alg, [x, y], 6)
         assert group.verdict == "Pass", (x, y)
     for _ in range(25):
         x = laws.random_regex(rng, "ab", epsilon_free=True)
@@ -191,11 +192,14 @@ def test_criterion_7_mutation(monkeypatch):
 
     # criterion-5 style law checking notices it too
     g = fn_pieces(2, [(2, 2, 2)])  # f(x) = 2x - 2, fixed point at 2
-    report = laws.check_ax0(identity(), g, identity(), [finite(2)])
+    report = laws.LawReport("ax0", "energy")
+    laws.check_ax0(report, identity(), g, identity(), [finite(2)])
     assert report.verdict == "Fail", "mutated star slipped past check_ax0"
 
     monkeypatch.undo()
-    assert laws.check_ax0(identity(), g, identity(), [finite(2)]).verdict == "Pass"
+    report = laws.LawReport("ax0", "energy")
+    laws.check_ax0(report, identity(), g, identity(), [finite(2)])
+    assert report.verdict == "Pass"
 
 
 @record_criterion(8, "CLI golden outputs are bit-stable")

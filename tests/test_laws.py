@@ -24,22 +24,42 @@ import wordref
 SAMPLES = [BOTTOM, finite(0), finite(1), F("5/2"), finite(7), TOP]
 
 
+def checked(check, *args):
+    """The energy report that one call of `check` fills."""
+    report = laws.LawReport(check.__name__, "energy")
+    check(report, *args)
+    return report
+
+
+def conway(instance, seed=0, cases=25, bound=5):
+    report = laws.LawReport("conway", instance, seed=seed)
+    laws.check_conway(report, cases, bound)
+    return report
+
+
+def group(name, elements, instance="energy", bound=5):
+    # the algebra is built at the call, after any monkeypatch of wordmodel
+    report = laws.LawReport(f"group-{name}", instance)
+    laws.check_group_identity(report, name, laws.model(instance)[0], elements, bound)
+    return report
+
+
 # ----------------------------------------------------------------------
 # Ax0
 
 
 def test_ax0_stabilizing_orbit(decrement):
-    report = laws.check_ax0(identity(), decrement, identity(), SAMPLES)
+    report = checked(laws.check_ax0, identity(), decrement, identity(), SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax0_const_bottom_middle():
-    report = laws.check_ax0(shift(3), CONST_BOTTOM, identity(), SAMPLES)
+    report = checked(laws.check_ax0, shift(3), CONST_BOTTOM, identity(), SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax0_divergent_orbit():
-    report = laws.check_ax0(identity(), shift(1), identity(), SAMPLES)
+    report = checked(laws.check_ax0, identity(), shift(1), identity(), SAMPLES)
     assert report.verdict == "Pass"
 
 
@@ -47,7 +67,7 @@ def test_ax0_random_triples():
     rng = random.Random(61)
     for _ in range(40):
         f, g, h = (laws.random_energy_function(rng) for _ in range(3))
-        report = laws.check_ax0(f, g, h, laws.random_samples(rng, 6))
+        report = checked(laws.check_ax0, f, g, h, laws.random_samples(rng, 6))
         assert report.verdict == "Pass", (report.failures, report.unknowns)
 
 
@@ -56,18 +76,18 @@ def test_ax0_random_triples():
 
 
 def test_ax1_peel_one(decrement, plus_two):
-    report = laws.check_ax1_ax2([plus_two], [decrement], (1, [1]))
+    report = checked(laws.check_ax1_ax2, [plus_two], [decrement], (1, [1]))
     assert report.verdict == "Pass"
 
 
 def test_ax2_power_collapse():
     g = fn_pieces(2, [(2, 2, 2)])
-    report = laws.check_ax1_ax2([], [g], (0, [2]))
+    report = checked(laws.check_ax1_ax2, [], [g], (0, [2]))
     assert report.verdict == "Pass"
 
 
 def test_ax2_blocks_after_prefix(decrement, plus_two):
-    report = laws.check_ax1_ax2([plus_two], [decrement, identity()], (1, [2]))
+    report = checked(laws.check_ax1_ax2, [plus_two], [decrement, identity()], (1, [2]))
     assert report.verdict == "Pass"
 
 
@@ -78,17 +98,47 @@ def test_ax2_uneven_blocks_random():
         cycle = [laws.random_energy_function(rng) for _ in range(rng.randint(1, 3))]
         head = rng.randint(0, 3)
         blocks = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
-        report = laws.check_ax1_ax2(prefix, cycle, (head, blocks))
+        report = checked(laws.check_ax1_ax2, prefix, cycle, (head, blocks))
         assert report.verdict == "Pass", report.failures
+
+
+def test_regrouping_is_exact(monkeypatch):
+    """The regrouped lasso unrolls to the blocks of the original one, in
+    order, not only to an equal product: compose_all becomes ``tuple`` and
+    the elements are their own positions."""
+    monkeypatch.setattr(laws.omegaval, "compose_all", tuple)
+    cases = [
+        ([0, 1], [2, 3, 4], 5, (2,)),  # head past the prefix; blocks coprime to the cycle
+        ([0, 1, 2], [3, 4], 1, (1, 3)),  # the prefix ends inside a round
+        ([], [0, 1, 2, 3], 0, (2, 4)),  # gcd(6, 4) = 2: two rounds span the cycle three times
+    ]
+    rng = random.Random(69)
+    for _ in range(300):
+        prefix = list(range(rng.randint(0, 4)))
+        cycle = list(range(len(prefix), len(prefix) + rng.randint(1, 5)))
+        blocks = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+        cases.append((prefix, cycle, rng.randint(0, 7), blocks))
+    for prefix, cycle, head, blocks in cases:
+        new_prefix, new_cycle = laws._regrouped_lasso(prefix, cycle, head, blocks)
+
+        def element(n):
+            return prefix[n] if n < len(prefix) else cycle[(n - len(prefix)) % len(cycle)]
+
+        want, pos = [element(n) for n in range(head)], head
+        for b in blocks * 40:
+            want.append(tuple(element(n) for n in range(pos, pos + b)))
+            pos += b
+        unrolled = new_prefix + new_cycle * (len(want) // len(new_cycle) + 1)
+        assert unrolled[:len(want)] == want, (prefix, cycle, head, blocks)
 
 
 def test_regrouping_rejected():
     with pytest.raises(InvalidRegrouping):
-        laws.check_ax1_ax2([], [identity()], (-1, [1]))
+        checked(laws.check_ax1_ax2, [], [identity()], (-1, [1]))
     with pytest.raises(InvalidRegrouping):
-        laws.check_ax1_ax2([], [identity()], (0, []))
+        checked(laws.check_ax1_ax2, [], [identity()], (0, []))
     with pytest.raises(InvalidRegrouping):
-        laws.check_ax1_ax2([], [identity()], (0, [0, 2]))
+        checked(laws.check_ax1_ax2, [], [identity()], (0, [0, 2]))
 
 
 # ----------------------------------------------------------------------
@@ -96,17 +146,17 @@ def test_regrouping_rejected():
 
 
 def test_ax3_idempotent_choice(decrement):
-    report = laws.check_ax3([], [identity()], decrement, decrement, SAMPLES)
+    report = checked(laws.check_ax3, [], [identity()], decrement, decrement, SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax3_bottom_choice_dies(decrement):
-    report = laws.check_ax3([identity()], [decrement], decrement, CONST_BOTTOM, SAMPLES)
+    report = checked(laws.check_ax3, [identity()], [decrement], decrement, CONST_BOTTOM, SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax3_identity_vs_decrement(decrement):
-    report = laws.check_ax3([], [identity()], identity(), decrement, SAMPLES)
+    report = checked(laws.check_ax3, [], [identity()], identity(), decrement, SAMPLES)
     assert report.verdict == "Pass"
 
 
@@ -117,18 +167,18 @@ def test_ax3_random():
         cycle = [laws.random_energy_function(rng) for _ in range(rng.randint(1, 2))]
         y = laws.random_energy_function(rng)
         z = laws.random_energy_function(rng)
-        report = laws.check_ax3(prefix, cycle, y, z, laws.random_samples(rng, 5))
+        report = checked(laws.check_ax3, prefix, cycle, y, z, laws.random_samples(rng, 5))
         assert report.verdict == "Pass", (report.failures, report.unknowns)
 
 
 def test_ax4_trivial_stars(decrement):
     for f in (CONST_BOTTOM, identity()):
-        report = laws.check_ax4(f, [decrement], SAMPLES)
+        report = checked(laws.check_ax4, f, [decrement], SAMPLES)
         assert report.verdict == "Pass"
 
 
 def test_ax4_pumping(decrement):
-    report = laws.check_ax4(shift(1), [identity()], SAMPLES)
+    report = checked(laws.check_ax4, shift(1), [identity()], SAMPLES)
     assert report.verdict == "Pass"
 
 
@@ -137,7 +187,7 @@ def test_ax4_random():
     for _ in range(12):
         f = laws.random_energy_function(rng)
         cycle = [laws.random_energy_function(rng) for _ in range(rng.randint(1, 2))]
-        report = laws.check_ax4(f, cycle, laws.random_samples(rng, 5))
+        report = checked(laws.check_ax4, f, cycle, laws.random_samples(rng, 5))
         assert report.verdict == "Pass", (report.failures, report.unknowns)
 
 
@@ -155,8 +205,8 @@ def test_ax3_ax4_catch_flipped_omega_boundary(monkeypatch):
     rng = random.Random(112)
     f, y, x0, x1 = (laws.random_energy_function(rng) for _ in range(4))
     samples = laws.random_samples(rng, 6)
-    assert laws.check_ax3([x0], [x1], f, y, samples).verdict == "Fail"
-    assert laws.check_ax4(f, [x1], samples).verdict == "Fail"
+    assert checked(laws.check_ax3, [x0], [x1], f, y, samples).verdict == "Fail"
+    assert checked(laws.check_ax4, f, [x1], samples).verdict == "Fail"
 
 
 # ----------------------------------------------------------------------
@@ -165,20 +215,29 @@ def test_ax3_ax4_catch_flipped_omega_boundary(monkeypatch):
 
 def test_conway_energy():
     for seed in (0, 1, 2):
-        report = laws.check_conway("energy", seed=seed, cases=20)
+        report = conway("energy", seed=seed, cases=20)
         assert report.verdict == "Pass", report.failures
 
 
 def test_conway_word():
-    report = laws.check_conway("word", seed=0, cases=10, bound=5)
+    report = conway("word", seed=0, cases=10, bound=5)
     assert report.verdict == "Pass", report.failures
 
 
 def test_conway_unknown_instance():
     with pytest.raises(UnknownIdentity):
-        laws.check_conway("matrix")
+        conway("matrix")
     with pytest.raises(UnknownIdentity):
         laws.run_suite("matrix")
+
+
+def test_unknown_names_raise_unknown_identity():
+    alg, _ = laws.model("energy")
+    with pytest.raises(UnknownIdentity, match="'nope'"):
+        laws.check_identity(laws.LawReport("nope", "energy"), "nope", alg, identity(), identity())
+    with pytest.raises(UnknownIdentity, match="'C5'"):
+        laws.check_group_identity(laws.LawReport("group-C5", "energy"), "C5", alg,
+                                  [identity()] * 5)
 
 
 WRONG_SIDES = {
@@ -192,13 +251,13 @@ def test_one_table_row_drives_laws_and_wordcheck(monkeypatch, capsys, name):
     row = laws.IDENTITIES[name]
     monkeypatch.setitem(laws.IDENTITIES, name, row._replace(sides=WRONG_SIDES[name]))
 
-    energy = laws.check_conway("energy", seed=0, cases=5)
+    energy = conway("energy", seed=0, cases=5)
     assert energy.verdict == "Fail"
     case = energy.failures[0]
     assert case.inputs.startswith(f"{row.law}; x=")
     assert case.lhs != case.rhs and case.sample is None
 
-    word = laws.check_conway("word", seed=0, cases=2, bound=4)
+    word = conway("word", seed=0, cases=2, bound=4)
     assert word.verdict == "Fail"
     tag = "W" if row.omega else "L"
     assert {(c.inputs, c.lhs, c.rhs) for c in word.failures} == {(row.law, tag + "1", tag + "2")}
@@ -245,14 +304,14 @@ def test_wordcheck_out_of_budget_is_error(monkeypatch, capsys, name):
 
 
 def test_group_c2_energy(decrement, plus_two):
-    report = laws.check_group_identity("C2", [plus_two, decrement])
+    report = group("C2", [plus_two, decrement])
     assert report.verdict == "Pass", report.failures
 
 
 def test_group_all_bottom():
     for name, table in laws.GROUP_TABLES.items():
         n = len(table)
-        report = laws.check_group_identity(name, [CONST_BOTTOM] * n)
+        report = group(name, [CONST_BOTTOM] * n)
         assert report.verdict == "Pass", (name, report.failures)
 
 
@@ -261,14 +320,14 @@ def test_group_random_energy():
     for name in ("C2", "C3", "C4", "klein"):
         n = len(laws.GROUP_TABLES[name])
         elements = [laws.random_energy_function(rng) for _ in range(n)]
-        report = laws.check_group_identity(name, elements)
+        report = group(name, elements)
         assert report.verdict == "Pass", (name, report.failures)
 
 
 def test_group_word_c2():
     rng = random.Random(66)
     elements = [laws.random_regex(rng, "ab", epsilon_free=True) for _ in range(2)]
-    report = laws.check_group_identity("C2", elements, instance="word", bound=4)
+    report = group("C2", elements, instance="word", bound=4)
     assert report.verdict == "Pass", report.failures
 
 
@@ -276,7 +335,7 @@ def test_group_word_c3_decided():
     for seed in range(5):
         rng = random.Random(seed)
         elements = [laws.random_regex(rng, "ab", epsilon_free=True) for _ in range(3)]
-        report = laws.check_group_identity("C3", elements, "word", bound=4)
+        report = group("C3", elements, "word", bound=4)
         assert report.verdict == "Pass", (seed, report.failures, report.unknowns)
 
 
@@ -285,7 +344,7 @@ def test_group_word_out_of_budget_is_unknown():
     # relates more than MAX_EQUALITY_PAIRS pairs of state sets
     any12 = "(a|b)" * 12
     elements = [wordref.parse_regex(f"(a|b)*{c}{any12}", "ab") for c in "ab"]
-    report = laws.check_group_identity("C2", elements, "word", bound=4)
+    report = group("C2", elements, "word", bound=4)
     assert report.verdict == "Unknown", report.failures
     # the check ends at its first Unknown: the second row is never compared
     assert report.cases == 1
@@ -301,7 +360,7 @@ def test_group_word_failures_are_reported_like_identities(monkeypatch, capsys):
 
     with monkeypatch.context() as m:
         m.setattr(wordmodel, "lasso_equal_bounded", differ)
-        report = laws.check_group_identity("C2", [x, y], "word", bound=4)
+        report = group("C2", [x, y], "word", bound=4)
         assert [(c.inputs, c.lhs, c.rhs, c.sample) for c in report.failures] == [
             ("first entry of M_G^w", "W1", "W2", "differ on ''('a')^w")
         ]
@@ -311,7 +370,7 @@ def test_group_word_failures_are_reported_like_identities(monkeypatch, capsys):
         assert code == 1 and doc["failures"] == ["differ on ''('a')^w"]
 
     monkeypatch.setattr(wordmodel, "lang_equal", lambda a, b: False)
-    report = laws.check_group_identity("C2", [x, y], "word", bound=4)
+    report = group("C2", [x, y], "word", bound=4)
     assert [(c.inputs, c.lhs, c.rhs, c.sample) for c in report.failures] == [
         (f"row {i} of M_G*", "L1", "L2", None) for i in range(2)
     ]
@@ -328,7 +387,7 @@ def test_group_table_validation():
             table[table[i][j]][k] == table[i][table[j][k]] for i in idx for j in idx for k in idx
         ), name
     with pytest.raises(InvalidGroupTable):
-        laws.check_group_identity("C3", [identity()])
+        group("C3", [identity()])
 
 
 # ----------------------------------------------------------------------
@@ -336,17 +395,17 @@ def test_group_table_validation():
 
 
 def test_bi_inductive_identity_never():
-    report = laws.check_bi_inductive(identity(), NEVER, SAMPLES)
+    report = checked(laws.check_bi_inductive, identity(), NEVER, SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_bi_inductive_const_bottom():
-    report = laws.check_bi_inductive(CONST_BOTTOM, from_threshold(3), SAMPLES)
+    report = checked(laws.check_bi_inductive, CONST_BOTTOM, from_threshold(3), SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_bi_inductive_decrement(decrement):
-    report = laws.check_bi_inductive(decrement, from_threshold(5), SAMPLES)
+    report = checked(laws.check_bi_inductive, decrement, from_threshold(5), SAMPLES)
     assert report.verdict == "Pass"
 
 
@@ -355,7 +414,7 @@ def test_bi_inductive_random():
     for _ in range(30):
         f = laws.random_energy_function(rng)
         v = laws.random_predicate(rng)
-        report = laws.check_bi_inductive(f, v, laws.random_samples(rng, 6))
+        report = checked(laws.check_bi_inductive, f, v, laws.random_samples(rng, 6))
         assert report.verdict == "Pass", (report.failures, report.unknowns)
 
 
@@ -381,7 +440,8 @@ def test_suite_zero_cases_runs_none(instance):
 
 
 def test_report_json_shape():
-    report = laws.check_ax0(identity(), shift(-1), identity(), SAMPLES)
+    report = laws.LawReport("ax0", "energy")
+    laws.check_ax0(report, identity(), shift(-1), identity(), SAMPLES)
     doc = report.to_json()
     assert doc["law"] == "ax0"
     assert doc["verdict"] == "Pass"

@@ -13,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from array import array
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LAYERS_PY = ROOT / "perfbench" / "layers.py"
@@ -40,17 +41,36 @@ def test_word_caches_report_stats():
         assert info.hits >= 0 and info.misses >= 0
 
 
-def test_traced_cli_runs_reach(tmp_path):
-    """The tracer's ``install()`` and ``counters()`` also reach names that
-    ``LAYERS`` does not list; one traced command exercises all of them."""
+def _traced(tmp_path, *argv):
+    """Run one CLI command under ``perfbench/traced_cli.py``, which must
+    exit 0; return its stdout and the names of the spans it recorded."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     spans = tmp_path / "spans.json"
-    golden = ROOT / "tests" / "golden"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(spans), "q", "--",
-         "reach", str(golden / "pump.json"), "--energy", "0", "--verify", "--format", "json"],
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(spans), "q", "--", *argv],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (golden / "reach_pump_0.json").read_text()
-    assert "energyauto.reach_value" in json.loads(spans.read_text())["names"]
+    names = json.loads(spans.read_text())["names"]
+    quads = array("q", (tmp_path / "spans.json.bin").read_bytes())
+    return proc.stdout, {names[i] for i in quads[::4]}
+
+
+def test_traced_cli_runs_reach(tmp_path):
+    """The tracer's ``install()`` and ``counters()`` also reach names that
+    ``LAYERS`` does not list; one traced command exercises all of them."""
+    golden = ROOT / "tests" / "golden"
+    stdout, spans = _traced(tmp_path, "reach", str(golden / "pump.json"), "--energy", "0",
+                            "--verify", "--format", "json")
+    assert stdout == (golden / "reach_pump_0.json").read_text()
+    assert "energyauto.reach_value" in spans
+
+
+def test_traced_cli_sees_the_group_check(tmp_path):
+    """``word-omega``'s ``laws.check_group_identity`` metric counts only the
+    calls made through the module attribute that the tracer replaces."""
+    golden = ROOT / "tests" / "golden"
+    stdout, spans = _traced(tmp_path, "wordcheck", "--identity", "group-C2", "--cases", "1",
+                            "--format", "json")
+    assert stdout == (golden / "wordcheck_group_c2.json").read_text()
+    assert "laws.check_group_identity" in spans
