@@ -7,12 +7,14 @@ M with the accepting columns flagged for Buchi acceptance.  The oracle
 route never composes functions: it evaluates edges on exact energies and
 relaxes the best energy per state over all walks (Bellman-Ford), which
 is sound because all edge functions are monotone.
-A state that still improves after n sweeps is promoted to top.
+A state that still improves in sweep n + 1 is promoted to top, and the
+relaxation ends within 2n + 1 sweeps.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
@@ -36,6 +38,14 @@ class EnergyAutomaton:
     @property
     def dim(self) -> int:
         return len(self.states)
+
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """The live matrix entries (i, j, fn), row by row; every oracle sweep reads them."""
+        return tuple(
+            (i, j, fn) for i, row in enumerate(self.matrix.rows) for j, fn in enumerate(row)
+            if not fn.is_const_bottom
+        )
 
 
 @dataclass(frozen=True)
@@ -130,52 +140,42 @@ def buchi(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResu
 # Relaxation oracles
 
 
-def _stabilize(
-    aut: EnergyAutomaton, energy: Dict[int, ExtValue]
-) -> Tuple[Dict[int, ExtValue], Dict[int, tuple]]:
+def _stabilize(aut: EnergyAutomaton, energy: Dict[int, ExtValue]) -> Tuple[dict, dict]:
     """Best energy per state over all walks from ``energy``, in place.
 
-    Bellman-Ford sweeps in phases, seeded by the energies at the start of
-    the phase (n = ``aut.dim``).  After n - 1 sweeps each state holds at
-    least its best energy over simple paths.  Edge slopes are >= 1, so
-    the gain h(x) - x of a walk is nondecreasing in x: a cycle that gains
-    where it is entered can be pumped to top, and one that does not can
-    be cut out without lowering the end energy.  So a state that still
-    improves in sweep n + 1 has supremum top; it is set to top and a new
-    phase starts.  With at most n promotions the loop ends within
-    (n + 1)^2 sweeps, on a sweep that changes nothing: a fixed point
-    above the seeds made of walk values and justified tops, which is the
-    supremum.  Also returns, per live state, the walk of relaxations that
-    last improved it, reversed as a linked list (state, rest) to a seed.
+    Bellman-Ford sweeps over the live edges (n = ``aut.dim``).  After
+    n - 1 sweeps each state holds at least its best energy over simple
+    paths.  Edge slopes are >= 1, so the gain h(x) - x of a walk is
+    nondecreasing in x: a cycle that gains where it is entered can be
+    pumped to top, and one that does not can be cut out without lowering
+    the end energy.  So a state that still improves in sweep n + 1 has
+    supremum top; it is set to top.  Live edges keep top, so within
+    n - 1 more sweeps top reaches every state a promoted one reaches.
+    Nothing else changes after sweep n + 1, as no state that reaches it
+    improved in that sweep.  So the loop ends within 2n + 1 sweeps, on a
+    sweep that changes nothing: a fixed point above the seeds made of
+    walk values and justified tops, which is the supremum.  Also returns,
+    per live state, the walk of relaxations that last improved it,
+    reversed as a linked list (state, rest) to a seed.
     """
-    n = aut.dim
-    rows = aut.matrix.rows
-    walk = {i: (i, None) for i in range(n) if not energy[i].is_bottom}
-    while True:
-        for _ in range(n + 1):
-            improved = set()
-            for src in range(n):
-                if energy[src].is_bottom:
-                    continue
-                for dst in range(n):
-                    out = rows[src][dst].eval(energy[src])
-                    if out > energy[dst]:
-                        walk[dst] = (dst, walk[src])
-                        energy[dst] = out
-                        improved.add(dst)
-            if not improved:
-                return energy, walk
-        for q in improved:
-            energy[q] = TOP
+    walk = {i: (i, None) for i, e in energy.items() if not e.is_bottom}
+    for sweep in itertools.count(1):
+        improved = set()
+        for src, dst, fn in aut.edges:
+            out = fn.eval(energy[src])
+            if out > energy[dst]:
+                walk[dst] = (dst, walk[src])
+                energy[dst] = out
+                improved.add(dst)
+        if not improved:
+            return energy, walk
+        if sweep == aut.dim + 1:
+            energy.update(dict.fromkeys(improved, TOP))
 
 
-def _max_energies(
-    aut: EnergyAutomaton, x0: ExtValue
-) -> Tuple[Dict[int, ExtValue], Dict[int, tuple]]:
-    energy = {
-        i: (x0 if aut.states[i] in aut.initial else BOTTOM) for i in range(aut.dim)
-    }
-    return _stabilize(aut, energy)
+def _max_energies(aut: EnergyAutomaton, x0: ExtValue) -> Tuple[dict, dict]:
+    seeds = {i: x0 if name in aut.initial else BOTTOM for i, name in enumerate(aut.states)}
+    return _stabilize(aut, seeds)
 
 
 def _top_probe(aut: EnergyAutomaton) -> Rational:
@@ -212,7 +212,7 @@ def _top_probe(aut: EnergyAutomaton) -> Rational:
 
     Each bound is at most z*.
     """
-    live = [f for row in aut.matrix.rows for f in row if not f.is_const_bottom]
+    live = [f for _, _, f in aut.edges]
     big_z = 1 + max((f.structure_points()[-1] for f in live), default=0)
     m = min(
         (f.pieces[-1].slope for f in live if f.top is None and f.pieces[-1].slope > 1),
@@ -242,8 +242,7 @@ def _witness_path(aut: EnergyAutomaton, walk: Dict[int, tuple], target: int) -> 
 
 def oracle_reach(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
     energy, walk = _max_energies(aut, x0)
-    best = BOTTOM
-    witness = None
+    best, witness = BOTTOM, None
     for i, name in enumerate(aut.states):
         if name in aut.accepting and energy[i] > best:
             best = energy[i]
@@ -280,17 +279,14 @@ def oracle_buchi(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
 
 
 def to_json(aut: EnergyAutomaton) -> dict:
-    edges = []
-    for i, src in enumerate(aut.states):
-        for j, dst in enumerate(aut.states):
-            fn = aut.matrix.rows[i][j]
-            if not fn.is_const_bottom:
-                edges.append({"from": str(src), "to": str(dst), "fn": energyfn.to_json(fn)})
+    names = [str(name) for name in aut.states]
     return {
-        "states": [str(name) for name in aut.states],
+        "states": names,
         "initial": [str(name) for name in aut.states if name in aut.initial],
         "accepting": [str(name) for name in aut.states if name in aut.accepting],
-        "edges": edges,
+        "edges": [
+            {"from": names[i], "to": names[j], "fn": energyfn.to_json(fn)} for i, j, fn in aut.edges
+        ],
     }
 
 

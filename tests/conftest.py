@@ -1,6 +1,7 @@
 """Shared fixtures and small builders for the test suite."""
 
 import functools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,26 @@ def plus_two():
 
 def F(q):
     return finite(Fraction(q))
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# Every file in golden/ that a CLI run prints, with that run's argv (before
+# ``--format json``) and exit code; test_cli.py and criterion 8 read this list.
+GOLDEN_RUNS = [
+    ("reach_pump_0.json", ["reach", str(GOLDEN / "pump.json"), "--energy", "0", "--verify"], 0),
+    ("buchi_pump_0.json", ["buchi", str(GOLDEN / "pump.json"), "--energy", "0", "--verify"], 0),
+    ("buchi_dec_0.json", ["buchi", str(GOLDEN / "dec.json"), "--energy", "0", "--verify"], 1),
+    ("star_plus2.json", ["star", str(GOLDEN / "plus2.json")], 0),
+    ("omega_plus2.json", ["omega", str(GOLDEN / "plus2.json")], 0),
+    ("star_mixed.json", ["star", str(GOLDEN / "mixed.json")], 0),
+    ("omega_mixed.json", ["omega", str(GOLDEN / "mixed.json")], 0),
+    ("laws_energy_s0_c8.json", ["laws", "--instance", "energy", "--seed", "0", "--cases", "8"], 0),
+    ("laws_word_s0_c4.json", ["laws", "--instance", "word", "--seed", "0", "--cases", "4"], 0),
+    ("wordcheck_omega_sum_b5.json",
+     ["wordcheck", "--identity", "omega-sum", "--cases", "1", "--bound", "5"], 0),
+    ("wordcheck_group_c2.json", ["wordcheck", "--identity", "group-C2", "--cases", "1"], 0),
+]
 
 
 # Registry used by test_acceptance.py so every criterion gets its own

@@ -12,7 +12,7 @@ import pytest
 import energyomega
 from energyomega import cli, energyauto, energyfn, laws
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+from conftest import GOLDEN, GOLDEN_RUNS
 
 PUMP = str(GOLDEN / "pump.json")
 DEC = str(GOLDEN / "dec.json")
@@ -285,21 +285,6 @@ TEXT_RUNS = [
      "omega-sum: Pass up to bound 5 (1 cases)\n"),
 ]
 
-GOLDEN_RUNS = [
-    ("reach_pump_0.json", ["reach", PUMP, "--energy", "0", "--verify"]),
-    ("buchi_pump_0.json", ["buchi", PUMP, "--energy", "0", "--verify"]),
-    ("buchi_dec_0.json", ["buchi", DEC, "--energy", "0", "--verify"]),
-    ("star_plus2.json", ["star", PLUS2]),
-    ("omega_plus2.json", ["omega", PLUS2]),
-    ("star_mixed.json", ["star", MIXED]),
-    ("omega_mixed.json", ["omega", MIXED]),
-    ("laws_energy_s0_c8.json", ["laws", "--instance", "energy", "--seed", "0", "--cases", "8"]),
-    ("laws_word_s0_c4.json", ["laws", "--instance", "word", "--seed", "0", "--cases", "4"]),
-    ("wordcheck_omega_sum_b5.json",
-     ["wordcheck", "--identity", "omega-sum", "--cases", "1", "--bound", "5"]),
-    ("wordcheck_group_c2.json", ["wordcheck", "--identity", "group-C2", "--cases", "1"]),
-]
-
 
 @pytest.mark.parametrize("argv,code,text", TEXT_RUNS, ids=[
     "reach-pump", "buchi-pump", "buchi-dec", "star-plus2", "omega-mixed", "wordcheck-omega-sum"])
@@ -307,9 +292,9 @@ def test_text_output(capsys, argv, code, text):
     assert run(capsys, *argv) == (code, text, "")
 
 
-@pytest.mark.parametrize("golden,argv", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])
-def test_golden_output(capsys, golden, argv):
-    cli.main(argv + ["--format", "json"])
+@pytest.mark.parametrize("golden,argv,code", GOLDEN_RUNS, ids=[g for g, _, _ in GOLDEN_RUNS])
+def test_golden_output(capsys, golden, argv, code):
+    assert cli.main(argv + ["--format", "json"]) == code
     out = capsys.readouterr().out
     assert out == (GOLDEN / golden).read_text()
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import importlib.util
 import pathlib
 import random
 from collections import Counter
@@ -513,6 +514,48 @@ def test_verify_on_sparse_rings_at_large_n():
         for x in (finite(0), F("5/2"), finite(12)):
             ea.reachable(aut, x, verify=True)
             ea.buchi(aut, x, verify=True)
+
+
+def test_oracle_evaluates_only_live_edges_within_2n_plus_1_sweeps(monkeypatch):
+    # a reversed chain: the pump on q(n-1) is promoted in sweep n + 1,
+    # then top moves down one state per sweep, as rows run in index order
+    n = 20
+    states = [f"q{k}" for k in range(n)]
+    edges = [(states[k], states[k - 1], shift(-100)) for k in range(1, n)]
+    chain = ea.automaton(states, [states[-1]], [states[0]], edges + [(states[-1], states[-1], shift(1))])
+    rng = random.Random(43)
+    corpus = [(chain, finite(0))] + [
+        (_random_automaton(rng, rng.randint(1, 5)), x) for _ in range(40) for x in _energies(rng, 2)
+    ]
+    calls = []  # per edge evaluation: is the function constant bottom?
+    real = energyfn.EnergyFunction.eval
+
+    def counting(self, x):
+        calls.append(self.is_const_bottom)
+        return real(self, x)
+
+    monkeypatch.setattr(energyfn.EnergyFunction, "eval", counting)
+    for aut, x in corpus:
+        calls.clear()
+        value = ea.oracle_reach(aut, x).value
+        assert not any(calls)
+        assert len(calls) <= (2 * aut.dim + 1) * len(aut.edges)
+        if aut is chain:
+            assert value == TOP and len(calls) == (2 * n + 1) * n
+
+
+def test_verify_on_the_benchmark_ring_at_n_128():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    aut = ea.from_json(gen.ring(128, random.Random(5)))
+    for x, want in ((finite(0), False), (finite(1000), True)):
+        assert ea.reachable(aut, x, verify=True).answer is want
+        assert ea.buchi(aut, x, verify=True).answer is want
+    entries = [(i, j, f) for i, row in enumerate(aut.matrix.rows) for j, f in enumerate(row)]
+    assert list(aut.edges) == [e for e in entries if not e[2].is_const_bottom]
+    assert len(aut.edges) == 3 * 128
 
 
 def test_permutation_invariance():
