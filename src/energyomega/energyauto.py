@@ -260,6 +260,8 @@ def oracle_buchi(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
     derives from the edges does.  Each reached accepting state s at live
     energy z takes one re-stabilization, started from one real transition
     out of s so that inner pumping loops anywhere on the return path count.
+    The witness is the walk that reached s and, as the cycle, the return
+    walk that last improved s in that re-stabilization.
     """
     energy, walk = _max_energies(aut, x0)
     top_probe = finite(_top_probe(aut))
@@ -267,10 +269,11 @@ def oracle_buchi(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
         if name not in aut.accepting or energy[i].is_bottom:
             continue
         z = top_probe if energy[i].is_top else energy[i]
-        back, _ = _stabilize(aut, {j: f.eval(z) for j, f in enumerate(aut.matrix.rows[i])})
+        back, back_walk = _stabilize(aut, {j: f.eval(z) for j, f in enumerate(aut.matrix.rows[i])})
         if back[i] >= z:
             prefix = _witness_path(aut, walk, i)
-            return QueryResult(True, energy[i], (prefix, (aut.states[i],)))
+            cycle = (aut.states[i],) + _witness_path(aut, back_walk, i)[:-1]
+            return QueryResult(True, energy[i], (prefix, cycle))
     return QueryResult(False, BOTTOM, None)
 
 

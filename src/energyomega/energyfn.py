@@ -17,16 +17,20 @@ candidate abscissa where the result can change: the law at it, and the
 law just above it, which holds up to the next candidate.  Both come from
 one lookup, ``EnergyFunction.laws_at``: by right-continuity they share
 the value f(lo) and differ only at the bottom and top boundaries.
-``_sweep`` builds a function from the readings, ``_first`` stops at the
-first one that meets a threshold, and ``_canonical`` is the normal form
-of results and validated inputs.  Just above a point lo, a law (v, s)
-takes the values v + s*e for small e > 0, so:
+The candidates are f's structure points and the points where a piece of
+f meets a line, all found by ``_meets``: a level of g (compose), a piece
+of g (join), or the line y = t or y = x (the action, star and omega).
+``_sweep`` builds a function from the readings, ``threshold`` stops at
+the first one on or above its line, and ``_canonical`` is the normal
+form of results and validated inputs.  Just above a point lo, a law
+(v, s) takes the values v + s*e for small e > 0, so:
 
 - a compose reads g just above f(lo), since f has slope >= 1, so one
   lookup of g at f(lo) serves both readings;
 - in a join, of two equal values the one with the larger slope wins;
-- f reaches a target y just above lo iff f(lo) >= y, and gains (f(x) > x)
-  iff f(lo) > lo, or f(lo) = lo with slope > 1.
+- against a line, likewise: f reaches y = t just above lo iff
+  f(lo) >= t, and gains (f(x) > x) iff f(lo) > lo, or f(lo) = lo with
+  slope > 1.
 """
 
 from __future__ import annotations
@@ -139,10 +143,12 @@ class EnergyFunction:
             pts.append(self.top)
         return pts
 
-    def piece_intervals(self) -> list:
-        """Each piece with the (exclusive) end of its segment, None for unbounded."""
+    def lines(self) -> list:
+        """Each piece as the line (slope, value at 0, start, end) over its
+        segment, with end None when unbounded."""
         ends = [p.start for p in self.pieces[1:]] + [self.top]
-        return list(zip(self.pieces, ends))
+        return [(p.slope, p.intercept - p.slope * p.start, p.start, e)
+                for p, e in zip(self.pieces, ends)]
 
     def __str__(self) -> str:
         if self.bottom is None:
@@ -308,55 +314,20 @@ def _sweep(cands: Iterable[Rational], laws_at) -> EnergyFunction:
     return _canonical(b, b_flag, pieces, t, t_flag)
 
 
-def _first(cands: Iterable[Rational], f: EnergyFunction, hit) -> Optional[tuple]:
-    """Least (x, inclusive) with ``hit(law, x, not inclusive)`` true for the
-    law of f read at x (or just above it); ``hit`` must hold on an
-    upward-closed set that changes only at candidates."""
-    for lo, above, law in _cells(cands, f.laws_at):
-        if hit(law, lo, above):
-            return exact(lo), not above
-    return None
-
-
-def _preimages(f: EnergyFunction, ys: Sequence[Rational]) -> list:
-    """Abscissas where a piece of f takes one of the values ``ys``."""
+def _meets(lines: Sequence[tuple], others: Sequence[tuple]) -> list:
+    """Abscissas where a line of ``lines`` meets one of ``others`` on their
+    common segment; lines are (slope, value at 0, start, end or None)."""
     out = []
-    for p, end in f.piece_intervals():
-        for y in ys:
-            x = p.start + div(y - p.intercept, p.slope)
-            if x >= p.start and (end is None or x <= end):
-                out.append(x)
-    return out
-
-
-def _crossings(f: EnergyFunction, g: EnergyFunction) -> list:
-    """Abscissas where a piece of f crosses a piece of g on their common segment."""
-    # g's pieces as lines s*x + k, each over its segment [start, end]
-    g_lines = [(p.slope, p.intercept - p.slope * p.start, p.start, e)
-               for p, e in g.piece_intervals()]
-    out = []
-    for p, e1 in f.piece_intervals():
-        for s2, k2, start2, e2 in g_lines:
-            if p.slope == s2:
-                continue
-            lo = max(p.start, start2)
+    for s1, k1, a1, e1 in lines:
+        for s2, k2, a2, e2 in others:
+            lo = a1 if a1 > a2 else a2
             hi = e1 if e2 is None else e2 if e1 is None else min(e1, e2)
-            if hi is not None and lo > hi:
+            if s1 == s2 or hi is not None and lo > hi:
                 continue
-            x = div(k2 - p.intercept + p.slope * p.start, p.slope - s2)
+            x = div(k2 - k1, s1 - s2)
             if x >= lo and (hi is None or x <= hi):
                 out.append(x)
     return out
-
-
-def _above(law: Law, y: Rational, strict: bool, rise: Optional[Rational]) -> bool:
-    """Whether a law's value is >= y (> when strict).  ``rise`` is None
-    for a reading at the law's point; just above it, y grows at ``rise``
-    and the law at its slope, so a tie goes to the faster."""
-    if law is None or law is _TOP_LAW:
-        return law is _TOP_LAW
-    got, want = (law[0], y) if rise is None else (law, (y, rise))
-    return got > want if strict else got >= want
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +356,8 @@ def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         here = _then(lf, lg)
         return here, here if lf_up is lf and lg_up is lg else _then(lf_up, lg_up)
 
-    return _sweep(f.structure_points() + _preimages(f, g.structure_points()), laws_at)
+    levels = [(_ZERO, y, _ZERO, None) for y in g.structure_points()]
+    return _sweep(f.structure_points() + _meets(f.lines(), levels), laws_at)
 
 
 def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
@@ -394,7 +366,7 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         return g
     if g.is_const_bottom:
         return f
-    cands = f.structure_points() + g.structure_points() + _crossings(f, g)
+    cands = f.structure_points() + g.structure_points() + _meets(f.lines(), g.lines())
 
     def higher(lf: Law, lg: Law, q: Optional[Rational]) -> Law:
         """The larger law; ``q`` is set for the reading just above q."""
@@ -422,29 +394,34 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
 # Thresholds shared by star, omega and the semimodule action
 
 
-def threshold_value_reaches(
-    f: EnergyFunction, target: Rational, strict: bool
+def threshold(
+    f: EnergyFunction, slope: Rational, target: Rational, strict: bool
 ) -> Optional[tuple]:
-    """Boundary of {finite x : f(x) >= target} (or > when strict)."""
-    return _first(
-        f.structure_points() + _preimages(f, [target]),
-        f,
-        lambda law, q, above: _above(law, target, strict, _ZERO if above else None),
-    )
+    """Boundary (x, inclusive) of {finite x : f(x) >= slope*x + target}, or
+    > when strict; None when the set is empty.
 
-
-def threshold_gain_nonneg(f: EnergyFunction, strict: bool) -> Optional[tuple]:
-    """Boundary of {finite x : f(x) >= x} (or > when strict)."""
-    return _first(
-        f.structure_points() + _crossings(f, identity()),
-        f,
-        lambda law, q, above: _above(law, q, strict, _ONE if above else None),
-    )
+    For slope <= 1 the set is upward closed, as f has slopes >= 1, and it
+    changes only where a piece of f meets the line, so the first grid
+    reading in it gives the boundary.  Just above a point the line grows
+    at ``slope`` and f at its own slope, so of two equal values the
+    faster wins.
+    """
+    line = [(slope, target, _ZERO, None)]
+    for lo, above, law in _cells(f.structure_points() + _meets(f.lines(), line), f.laws_at):
+        if law is None:
+            continue
+        if law is not _TOP_LAW:
+            y = slope * lo + target
+            got, want = (law, (y, slope)) if above else (law[0], y)
+            if not (got > want if strict else got >= want):
+                continue
+        return exact(lo), not above
+    return None
 
 
 def star(f: EnergyFunction) -> EnergyFunction:
     """x f* = x where f(x) <= x, top where f(x) > x."""
-    hit = threshold_gain_nonneg(f, strict=True)
+    hit = threshold(f, _ONE, _ZERO, strict=True)
     if hit is None:
         return identity()
     t, inclusive = hit

@@ -62,7 +62,7 @@ def act(f: EnergyFunction, v: ThresholdPredicate) -> ThresholdPredicate:
     """Left action by precomposition: (f v)(x) = v(f(x))."""
     if v.is_never or f.is_const_bottom:
         return NEVER
-    hit = energyfn.threshold_value_reaches(f, v.threshold, strict=not v.inclusive)
+    hit = energyfn.threshold(f, 0, v.threshold, strict=not v.inclusive)
     # f is alive somewhere, so its values are unbounded and the target is
     # always reached at some finite input.
     assert hit is not None
@@ -81,7 +81,7 @@ def omega(f: EnergyFunction) -> ThresholdPredicate:
     """
     if f.is_const_bottom:
         return NEVER
-    hit = energyfn.threshold_gain_nonneg(f, strict=False)
+    hit = energyfn.threshold(f, 1, 0, strict=False)
     if hit is None:
         return NEVER
     t, inclusive = hit

@@ -272,37 +272,24 @@ def lasso_union(w1: LassoLang, w2: LassoLang) -> LassoLang:
 def _buchi_for_pair(u: RegularLang, v: RegularLang):
     """Buchi automaton for U . V^omega as bitmasks (n, initial, accepting, post).
 
-    States 0 .. u.n-1 are U's states; state u.n + 2*q + flag is V's state
-    q, where flag marks that the letter just read completed a V-word and
-    restarted.  Accepting states are exactly the flagged ones: a run is
-    in the language iff infinitely many V-words complete.  ``post[sym][s]``
-    is the mask of successors of s on sym; a letter missing from ``post``
-    has no successors.
+    States 0 .. u.n-1 are U's states, u.n + q is V's state q, and
+    u.n + v.n + q is q flagged: the letter just read completed a V-word
+    and restarted.  A step into a final state enters V's initial states
+    from U, and restarts them, flagged, from V.  Accepting states are
+    exactly the flagged ones: a run is in the language iff infinitely
+    many V-words complete.  ``post[sym][s]`` is the mask of successors of
+    s on sym; a letter missing from ``post`` has no successors.
     """
-    n = u.n + 2 * v.n
-    post: Dict[str, List[int]] = {}
-
-    def in_v(q: int, flag: int) -> int:
-        return 1 << (u.n + 2 * q + flag)
-
-    enter = restart = 0
-    for i in v.initial:
-        enter |= in_v(i, 0)
-        restart |= in_v(i, 1)
-    for s, sym, t in u.transitions:
-        row = post.setdefault(sym, [0] * n)
-        row[s] |= 1 << t
-        if t in u.final:
-            row[s] |= enter
-    for s, sym, t in v.transitions:
-        row = post.setdefault(sym, [0] * n)
-        step = in_v(t, 0) | (restart if t in v.final else 0)
-        row[u.n + 2 * s] |= step
-        row[u.n + 2 * s + 1] |= step
-    initial = sum(1 << q for q in u.initial)
-    if accepts_epsilon(u):
-        initial |= enter
-    return n, initial, restart, {sym: tuple(row) for sym, row in post.items()}
+    init_u, final_u, post_u = _dfa(u)
+    init_v, final_v, post_v = _dfa(v)
+    enter, restart = init_v << u.n, init_v << (u.n + v.n)
+    post = {}
+    for sym in post_u.keys() | post_v.keys():
+        row_u = [m | enter if m & final_u else m for m in post_u.get(sym, (0,) * u.n)]
+        row_v = [m << u.n | (restart if m & final_v else 0) for m in post_v.get(sym, (0,) * v.n)]
+        post[sym] = tuple(row_u + row_v + row_v)
+    initial = init_u | enter if init_u & final_u else init_u
+    return u.n + 2 * v.n, initial, restart, post
 
 
 def _identity_profile(n: int) -> Tuple[tuple, tuple]:

@@ -19,8 +19,7 @@ from energyomega.energyfn import (
     Law,
     Piece,
     _canonical,
-    _crossings,
-    _preimages,
+    _meets,
     identity,
     top_from,
 )
@@ -82,13 +81,6 @@ def _first(cands: Iterable[Fraction], hit) -> Optional[tuple]:
     return None
 
 
-def _above(law: Law, y: Fraction, strict: bool) -> bool:
-    """Whether the value a law gives at its point is >= y (> when strict)."""
-    if law is None or law is _TOP_LAW:
-        return law is _TOP_LAW
-    return law[0] > y if strict else law[0] >= y
-
-
 def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
     """Diagrammatic composition: first f, then g."""
     if f.is_const_bottom or g.is_const_bottom:
@@ -103,7 +95,8 @@ def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
             return lg
         return lg[0], lf[1] * lg[1]
 
-    return _sweep(f.structure_points() + _preimages(f, g.structure_points()), at)
+    levels = [(_ZERO, y, _ZERO, None) for y in g.structure_points()]
+    return _sweep(f.structure_points() + _meets(f.lines(), levels), at)
 
 
 def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
@@ -112,7 +105,7 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         return g
     if g.is_const_bottom:
         return f
-    cands = f.structure_points() + g.structure_points() + _crossings(f, g)
+    cands = f.structure_points() + g.structure_points() + _meets(f.lines(), g.lines())
 
     def at(q: Fraction) -> Law:
         lf, lg = f.laws_at(q)[0], g.laws_at(q)[0]
@@ -129,27 +122,25 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
     return _sweep(cands, at)
 
 
-def threshold_value_reaches(
-    f: EnergyFunction, target: Fraction, strict: bool
+def threshold(
+    f: EnergyFunction, slope: Fraction, target: Fraction, strict: bool
 ) -> Optional[tuple]:
-    """Boundary of {finite x : f(x) >= target} (or > when strict)."""
-    return _first(
-        f.structure_points() + _preimages(f, [target]),
-        lambda q: _above(f.laws_at(q)[0], target, strict),
-    )
+    """Boundary of {finite x : f(x) >= slope*x + target} (or > when strict)."""
 
+    def hit(q: Fraction) -> bool:
+        law = f.laws_at(q)[0]
+        if law is None or law is _TOP_LAW:
+            return law is _TOP_LAW
+        y = slope * q + target
+        return law[0] > y if strict else law[0] >= y
 
-def threshold_gain_nonneg(f: EnergyFunction, strict: bool) -> Optional[tuple]:
-    """Boundary of {finite x : f(x) >= x} (or > when strict)."""
-    return _first(
-        f.structure_points() + _crossings(f, identity()),
-        lambda q: _above(f.laws_at(q)[0], q, strict),
-    )
+    line = [(slope, target, _ZERO, None)]
+    return _first(f.structure_points() + _meets(f.lines(), line), hit)
 
 
 def star(f: EnergyFunction) -> EnergyFunction:
     """x f* = x where f(x) <= x, top where f(x) > x."""
-    hit = threshold_gain_nonneg(f, strict=True)
+    hit = threshold(f, 1, 0, strict=True)
     if hit is None:
         return identity()
     t, inclusive = hit
@@ -160,7 +151,7 @@ def act(f: EnergyFunction, v: ThresholdPredicate) -> ThresholdPredicate:
     """Left action by precomposition: (f v)(x) = v(f(x))."""
     if v.is_never or f.is_const_bottom:
         return NEVER
-    hit = threshold_value_reaches(f, v.threshold, strict=not v.inclusive)
+    hit = threshold(f, 0, v.threshold, strict=not v.inclusive)
     assert hit is not None
     t, inclusive = hit
     return ThresholdPredicate(t, inclusive)
@@ -170,7 +161,7 @@ def omega(f: EnergyFunction) -> ThresholdPredicate:
     """The infinite product f f f ..., from the least x with f(x) >= x."""
     if f.is_const_bottom:
         return NEVER
-    hit = threshold_gain_nonneg(f, strict=False)
+    hit = threshold(f, 1, 0, strict=False)
     if hit is None:
         return NEVER
     t, inclusive = hit

@@ -23,7 +23,7 @@ from witnessref import local_finiteness_witness
 def _sample_points(rng, f, k):
     """Random rationals plus the boundary points where star can flip."""
     pts = [BOTTOM, TOP]
-    hit = energyfn.threshold_gain_nonneg(f, strict=True)
+    hit = energyfn.threshold(f, 1, 0, strict=True)
     if hit is not None and hit[0] is not None:
         pts.append(finite(hit[0]))
     while len(pts) < k:

@@ -277,6 +277,36 @@ def test_all_witnesses_start_at_an_initial_state_on_criterion_4_corpus():
     assert walks > 4000
 
 
+def test_buchi_witness_cycle_sustains_on_criterion_4_corpus():
+    # the cycle is the return walk that sustained the accepting state:
+    # it closes at the prefix's end over live edges and, replayed from
+    # the reach energy (the top probe for a top one), ends no lower
+    rng = random.Random(103)
+    yes = 0
+    for _ in range(300):
+        aut = _random_automaton(rng, rng.randint(1, 4))
+        for x in _energies(rng, 10):
+            res = ea.oracle_buchi(aut, x)
+            if not res.answer:
+                continue
+            prefix, cycle = res.witness
+            loop = cycle + cycle[:1]
+            assert cycle[0] == prefix[-1]
+            assert all(not _edge(aut, a, b).is_const_bottom for a, b in zip(loop, loop[1:]))
+            z = finite(ea._top_probe(aut)) if res.value.is_top else res.value
+            assert _replay(aut, loop, z) >= z, (str(aut), x, res.witness)
+            yes += 1
+    assert yes > 1500
+
+
+def test_buchi_witness_cycle_without_a_self_loop():
+    aut = ea.automaton(
+        ["a", "b"], ["a"], ["a"], [("a", "b", identity()), ("b", "a", identity())]
+    )
+    res = ea.oracle_buchi(aut, finite(0))
+    assert res.witness == (("a",), ("a", "b"))
+
+
 def test_oracle_buchi_no_edges():
     assert ea.oracle_buchi(single(), finite(3)).answer is False
 

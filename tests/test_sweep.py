@@ -7,11 +7,13 @@ Breakpoints come at scales 1, 10^3 and 10^6, with top regions, one-point
 last pieces, bottom-to-top steps and slopes as close to 1 as 1001/1000.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, seed, settings, strategies as st
 
-from energyomega import energyfn, omegaval
+from energyomega import energyfn, laws, omegaval
+from energyomega.extlat import finite
 from energyomega.omegaval import NEVER, ThresholdPredicate
 
 import sweepref
@@ -19,6 +21,7 @@ import sweepref
 SCALES = (1, 10**3, 10**6)
 SLOPES = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1001, 1000))
 OFFSETS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3))
+LINE_SLOPES = (0, 1, Fraction(3, 2), 2)
 
 
 @st.composite
@@ -110,3 +113,40 @@ def test_laws_at_boundaries():
     ]
     for f, q, here, above in cases:
         assert f.laws_at(Fraction(q)) == (here, above)
+
+
+def _side(f, line, x):
+    """The sign of f(x) - line(x), with top above every line and bottom below."""
+    slope, at_zero, _start, _end = line
+    y = f.eval(finite(x))
+    if not y.is_finite:
+        return 1 if y.is_top else -1
+    d = y.value - (slope * x + at_zero)
+    return (d > 0) - (d < 0)
+
+
+def test_every_crossing_is_a_candidate():
+    # sweepref takes its candidates from energyfn._meets too, so only this
+    # test sees a dropped crossing: between two neighbouring candidates f
+    # minus the line keeps one sign, read exactly at the two third-points
+    rng = random.Random(1501)
+    gaps = changes = 0
+    for _ in range(1000):
+        f, g = laws.random_energy_function(rng), laws.random_energy_function(rng)
+        lines = g.lines() + [
+            (rng.choice(LINE_SLOPES), Fraction(rng.randint(-8, 16), rng.randint(1, 4)), 0, None)
+            for _ in range(3)
+        ]
+        for line in lines:
+            _slope, _at_zero, start, end = line
+            cands = {0, start, *f.structure_points(), *energyfn._meets(f.lines(), [line])}
+            if end is not None:
+                cands.add(end)
+            xs = sorted(x for x in cands if start <= x and (end is None or x <= end))
+            ends = xs[1:] + ([] if end is not None else [xs[-1] + 3])
+            for lo, hi in zip(xs, ends):
+                third = Fraction(hi - lo, 3)
+                gaps += 1
+                changes += _side(f, line, lo + third) != _side(f, line, lo + 2 * third)
+    assert gaps > 10000
+    assert changes == 0
