@@ -2,13 +2,14 @@
 
 Subcommands: reach, buchi, star, omega, eval, laws, wordcheck.  Exit
 codes are stable: 0 for a positive answer (or success), 1 for a negative
-answer (or failed checks), 2 for any usage or input error.
+answer (or failed checks), 2 for any usage, input or output error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Optional
@@ -151,70 +152,55 @@ def positive_int(text: str) -> int:
     return value
 
 
+QUERY = [("automaton", {}),
+         ("--energy", dict(required=True, help='initial energy ("bot", "top", or a rational)')),
+         ("--verify", dict(action="store_true", help="cross-check against the relaxation oracle"))]
+SEED = ("--seed", dict(type=int, default=0))
+CASES = ("--cases", dict(type=non_negative_int, default=20))
+
+# Each subcommand: its help, its handler and its arguments, in help order.
+COMMANDS = {
+    "reach": ("reachability with an initial energy", cmd_reach, QUERY),
+    "buchi": ("repeated-accepting acceptance with an initial energy", cmd_buchi, QUERY),
+    "star": ("star of an energy function", cmd_star, [("function", {})]),
+    "omega": ("omega value of an energy function", cmd_omega, [("function", {})]),
+    "eval": ("evaluate an energy function at a point", cmd_eval,
+             [("function", {}), ("--energy", dict(required=True))]),
+    "laws": ("run the law suite, one JSON report per line", cmd_laws,
+             [("--instance", dict(choices=("energy", "word"), default="energy")), SEED, CASES]),
+    "wordcheck": ("check a named identity in the word model", cmd_wordcheck, [
+        ("--identity", dict(required=True)), ("--alphabet", dict(default="ab")),
+        ("--bound", dict(type=positive_int, default=6)), SEED, CASES]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="energyomega",
         description="Energy automata queries and algebra law checking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    for name, help_text, func in (
-        ("reach", "reachability with an initial energy", cmd_reach),
-        ("buchi", "repeated-accepting acceptance with an initial energy", cmd_buchi),
-    ):
+    for name, (help_text, func, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("automaton")
-        p.add_argument("--energy", required=True, help='initial energy ("bot", "top", or a rational)')
-        p.add_argument("--verify", action="store_true", help="cross-check against the relaxation oracle")
-        add_common(p)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
+        p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("star", help="star of an energy function")
-    p.add_argument("function")
-    add_common(p)
-    p.set_defaults(func=cmd_star)
-
-    p = sub.add_parser("omega", help="omega value of an energy function")
-    p.add_argument("function")
-    add_common(p)
-    p.set_defaults(func=cmd_omega)
-
-    p = sub.add_parser("eval", help="evaluate an energy function at a point")
-    p.add_argument("function")
-    p.add_argument("--energy", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("laws", help="run the law suite, one JSON report per line")
-    p.add_argument("--instance", choices=("energy", "word"), default="energy")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=non_negative_int, default=20)
-    add_common(p)
-    p.set_defaults(func=cmd_laws)
-
-    p = sub.add_parser("wordcheck", help="check a named identity in the word model")
-    p.add_argument("--identity", required=True)
-    p.add_argument("--alphabet", default="ab")
-    p.add_argument("--bound", type=positive_int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=non_negative_int, default=20)
-    add_common(p)
-    p.set_defaults(func=cmd_wordcheck)
-
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # off a terminal stdout is buffered: a failed write shows here
+        return code
     except (EnergyOmegaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except OSError as exc:  # stdout cannot be written; the exit flush then goes to devnull
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ class EnergyAutomaton:
 @dataclass(frozen=True)
 class QueryResult:
     answer: bool
-    value: object  # ExtValue or ThresholdPredicate summary
+    value: object  # reach: ExtValue; buchi: ThresholdPredicate; oracle_buchi: accepting reach energy
     witness: Optional[tuple] = None  # path, or (prefix, cycle) for Buchi
 
 

@@ -62,5 +62,5 @@ class ParseError(EnergyOmegaError):
 
 
 class VerificationFailed(EnergyOmegaError):
-    """Algebraic answer and brute-force oracle disagree."""
+    """Algebraic answer and relaxation oracle disagree."""
 

@@ -323,3 +323,32 @@ def test_cli_import_leaves_laws_and_word_model_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines() == ["[]", "True energyomega.wordmodel"]
+
+
+def test_help_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = ""
+    for command in ("", "reach", "buchi", "star", "omega", "eval", "laws", "wordcheck"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command.split() + ["--help"])
+        assert exc.value.code == 0
+        out += capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "help.txt").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["reach", PUMP, "--energy", "0"], ["laws", "--cases", "1"]],
+                         ids=["reach", "laws"])
+def test_unwritable_stdout_is_error(argv):
+    """A closed pipe as stdout: exit 2 with one error line, no traceback."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "energyomega.cli", *argv], env=env,
+                             stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -609,6 +609,25 @@ def test_permutation_invariance():
             assert ea.buchi(aut, x).answer == ea.buchi(relabeled, x).answer
 
 
+def test_query_values_do_not_depend_on_the_state_order():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(44)
+    corpus = [_random_automaton(rng, rng.randint(2, 6)) for _ in range(300)]
+    corpus += [ea.from_json(family(16, random.Random(5))) for family in (gen.ring, gen.mixed)]
+    for aut in corpus:
+        n = aut.dim
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows = [[aut.matrix.rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        relabeled = ea.EnergyAutomaton(tuple(aut.states[i] for i in perm), aut.initial,
+                                       aut.accepting, mk.matrix(mk.ENERGY_ALGEBRA, rows))
+        assert ea.reach_value(relabeled) == ea.reach_value(aut)
+        assert ea.buchi_value(relabeled) == ea.buchi_value(aut)
+
+
 def test_monotone_in_initial_energy():
     rng = random.Random(43)
     for _ in range(25):
