@@ -14,7 +14,7 @@ import random
 import sys
 from typing import Optional
 
-from . import energyauto, energyfn, omegaval
+from . import energyfn
 from .errors import BudgetExceeded, EnergyOmegaError, ParseError, UnknownIdentity
 from .extlat import format_ext, parse_ext
 
@@ -54,6 +54,8 @@ def _print_answer(args, answer: bool, value, text) -> int:
 
 
 def cmd_reach(args) -> int:
+    from . import energyauto
+
     aut = energyauto.from_json(_load_json(args.automaton))
     result = energyauto.reachable(aut, parse_ext(args.energy), verify=args.verify)
     value = format_ext(result.value)
@@ -61,6 +63,8 @@ def cmd_reach(args) -> int:
 
 
 def cmd_buchi(args) -> int:
+    from . import energyauto, omegaval
+
     aut = energyauto.from_json(_load_json(args.automaton))
     result = energyauto.buchi(aut, parse_ext(args.energy), verify=args.verify)
     return _print_answer(args, result.answer, omegaval.to_json(result.value), result.value)
@@ -79,6 +83,8 @@ def cmd_star(args) -> int:
 
 
 def cmd_omega(args) -> int:
+    from . import omegaval
+
     return _print_result(args, omegaval.omega, omegaval.to_json)
 
 
@@ -152,8 +158,8 @@ def positive_int(text: str) -> int:
     return value
 
 
-QUERY = [("automaton", {}),
-         ("--energy", dict(required=True, help='initial energy ("bot", "top", or a rational)')),
+ENERGY = ("--energy", dict(required=True, help='initial energy ("bot", "top", or a rational)'))
+QUERY = [("automaton", {}), ENERGY,
          ("--verify", dict(action="store_true", help="cross-check against the relaxation oracle"))]
 SEED = ("--seed", dict(type=int, default=0))
 CASES = ("--cases", dict(type=non_negative_int, default=20))
@@ -165,7 +171,7 @@ COMMANDS = {
     "star": ("star of an energy function", cmd_star, [("function", {})]),
     "omega": ("omega value of an energy function", cmd_omega, [("function", {})]),
     "eval": ("evaluate an energy function at a point", cmd_eval,
-             [("function", {}), ("--energy", dict(required=True))]),
+             [("function", {}), ENERGY]),
     "laws": ("run the law suite, one JSON report per line", cmd_laws,
              [("--instance", dict(choices=("energy", "word"), default="energy")), SEED, CASES]),
     "wordcheck": ("check a named identity in the word model", cmd_wordcheck, [

@@ -36,7 +36,6 @@ form of results and validated inputs.  Just above a point lo, a law
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -48,7 +47,8 @@ from .errors import (
     SlopeTooSmall,
 )
 from .extlat import (
-    BOTTOM, TOP, ExtValue, Rational, RationalLike, as_fraction, div, exact, finite, json_flag,
+    BOTTOM, TOP, ExtValue, Frozen, Rational, RationalLike, as_fraction, div, exact, finite,
+    json_flag,
 )
 
 _ZERO = 0
@@ -74,8 +74,7 @@ class Piece(NamedTuple):
 _start = attrgetter("start")
 
 
-@dataclass(frozen=True)
-class EnergyFunction:
+class EnergyFunction(Frozen):
     """Canonical energy function.
 
     ``bottom is None`` encodes the constant-bottom function.  Otherwise
@@ -87,20 +86,11 @@ class EnergyFunction:
     integral, else a Fraction (``extlat.Rational``).
     """
 
-    bottom: Optional[Rational]
-    bottom_at_boundary: bool
-    pieces: tuple
-    top: Optional[Rational]
-    top_at_boundary: bool
+    __slots__ = ("bottom", "bottom_at_boundary", "pieces", "top", "top_at_boundary")
 
-    def __hash__(self) -> int:
-        # computed once: the solve's memo hashes its operands on every request
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.bottom, self.bottom_at_boundary, self.pieces, self.top,
-                      self.top_at_boundary))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, bottom: Optional[Rational], bottom_at_boundary: bool, pieces: tuple,
+                 top: Optional[Rational], top_at_boundary: bool) -> None:
+        super().__init__(bottom, bottom_at_boundary, pieces, top, top_at_boundary)
 
     @property
     def is_const_bottom(self) -> bool:

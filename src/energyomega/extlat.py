@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple, Union
 
 from .errors import ParseError
@@ -62,6 +63,49 @@ class ExtValue(NamedTuple):
 
 BOTTOM = ExtValue(_BOT_RANK, None)
 TOP = ExtValue(_TOP_RANK, None)
+
+
+class Frozen:
+    """Immutable value: a subclass names its two or more fields in
+    ``__slots__`` and passes them to ``Frozen.__init__`` in that order.
+    Equal only within its class; the hash is computed once, as the solve's
+    memo hashes its operands on every request.  Unlike a frozen dataclass,
+    it keeps ``dataclasses`` out of the CLI's start-up."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self._fields(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
 
 
 def as_fraction(q: RationalLike) -> Rational:

@@ -8,20 +8,20 @@ and infinite products of lasso-shaped sequences land here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import energyfn
 from .energyfn import EnergyFunction
-from .extlat import ExtValue, Rational, RationalLike, as_fraction, finite
+from .extlat import ExtValue, Frozen, Rational, RationalLike, as_fraction, finite
 
 
-@dataclass(frozen=True)
-class ThresholdPredicate:
+class ThresholdPredicate(Frozen):
     """Never (constant bottom) or From(threshold, inclusive)."""
 
-    threshold: Optional[Rational]  # None encodes Never
-    inclusive: bool = True
+    __slots__ = ("threshold", "inclusive")
+
+    def __init__(self, threshold: Optional[Rational], inclusive: bool = True) -> None:
+        super().__init__(threshold, inclusive)  # a None threshold encodes Never
 
     @property
     def is_never(self) -> bool:

@@ -1,6 +1,8 @@
 """Shared fixtures and small builders for the test suite."""
 
 import functools
+import importlib.util
+import os
 import pathlib
 from fractions import Fraction
 
@@ -35,6 +37,25 @@ def F(q):
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def subprocess_env():
+    """The environment for a child interpreter: this checkout's src/ first
+    on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@functools.cache
+def perfbench(name):
+    """``perfbench/<name>.py``, loaded once by file spec, as ``perfbench/``
+    is not a package; the tests only read it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # Every file in golden/ that a CLI run prints, with that run's argv (before
 # ``--format json``) and exit code; test_cli.py and criterion 8 read this list.

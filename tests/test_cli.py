@@ -2,7 +2,6 @@
 
 import json
 import os
-import pathlib
 import subprocess
 import sys
 import time
@@ -12,7 +11,7 @@ import pytest
 import energyomega
 from energyomega import cli, energyauto, energyfn, laws
 
-from conftest import GOLDEN, GOLDEN_RUNS
+from conftest import GOLDEN, GOLDEN_RUNS, subprocess_env
 
 PUMP = str(GOLDEN / "pump.json")
 DEC = str(GOLDEN / "dec.json")
@@ -309,20 +308,29 @@ def test_package_root_exports_only_the_documented_names():
 
 
 def test_cli_import_leaves_laws_and_word_model_unloaded():
-    """Queries start without the law suite and the word model; importing
+    """Queries start without the law suite and the word model, and eval,
+    star and omega without dataclasses and the automaton layers; importing
     them from the package still works."""
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
-        "import sys, energyomega.cli\n"
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import energyomega.cli as cli\n"
         "print(sorted(m for m in ('energyomega.laws', 'energyomega.wordmodel') if m in sys.modules))\n"
+        f"for argv in (['eval', {PLUS2!r}, '--energy', '3'], ['star', {PLUS2!r}], ['omega', {PLUS2!r}]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "heavy = ('dataclasses', 'energyomega.energyauto', 'energyomega.matrixkleene')\n"
+        "print(sorted(set(heavy).intersection(sys.modules).difference(before)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['reach', {PUMP!r}, '--energy', '0']) == 0\n"
+        "print('energyomega.energyauto' in sys.modules)\n"
         "from energyomega import *\n"
-        "print(laws is sys.modules['energyomega.laws'], wordmodel.__name__)"
+        "print(laws is sys.modules['energyomega.laws'], wordmodel.__name__, reachable.__module__)"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True
     ).stdout
-    assert out.splitlines() == ["[]", "True energyomega.wordmodel"]
+    assert out.splitlines() == ["[]", "[]", "True", "True energyomega.wordmodel energyomega.energyauto"]
 
 
 def test_help_text(monkeypatch, capsys):
@@ -340,12 +348,10 @@ def test_help_text(monkeypatch, capsys):
                          ids=["reach", "laws"])
 def test_unwritable_stdout_is_error(argv):
     """A closed pipe as stdout: exit 2 with one error line, no traceback."""
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        run = subprocess.run([sys.executable, "-m", "energyomega.cli", *argv], env=env,
+        run = subprocess.run([sys.executable, "-m", "energyomega.cli", *argv], env=subprocess_env(),
                              stdout=write_end, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)

@@ -8,8 +8,6 @@ the automaton JSON.  The three share no code.  Structure points reach
 close to 1 as 1001/1000.
 """
 
-import importlib.util
-import pathlib
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -17,15 +15,13 @@ from hypothesis import given, settings, strategies as st
 from energyomega import energyauto as ea
 from energyomega.extlat import format_ext, parse_ext
 
-REFERENCE_PY = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+from conftest import perfbench
 
 SCALES = (1, 10**3, 10**6)
 SLOPES = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1001, 1000))
 ENERGIES = ("0", "7", "1000000", "3000000", "top")
 
-_spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE_PY)
-reference = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference)
+reference = perfbench("reference")
 
 
 def _fn_json(bottom, bottom_at, pieces, top):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import importlib.util
 import pathlib
 import random
 from collections import Counter
@@ -18,7 +17,7 @@ from energyomega.extlat import BOTTOM, TOP, finite
 from energyomega.omegaval import NEVER, apply, from_threshold
 
 from blockref import block_omega_k, block_star
-from conftest import F, fn_pieces
+from conftest import F, fn_pieces, perfbench
 
 PUMP_JSON = str(pathlib.Path(__file__).parent / "golden" / "pump.json")
 
@@ -575,10 +574,7 @@ def test_oracle_evaluates_only_live_edges_within_2n_plus_1_sweeps(monkeypatch):
 
 
 def test_verify_on_the_benchmark_ring_at_n_128():
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = perfbench("gen")
     aut = ea.from_json(gen.ring(128, random.Random(5)))
     for x, want in ((finite(0), False), (finite(1000), True)):
         assert ea.reachable(aut, x, verify=True).answer is want
@@ -610,10 +606,7 @@ def test_permutation_invariance():
 
 
 def test_query_values_do_not_depend_on_the_state_order():
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = perfbench("gen")
     rng = random.Random(44)
     corpus = [_random_automaton(rng, rng.randint(2, 6)) for _ in range(300)]
     corpus += [ea.from_json(family(16, random.Random(5))) for family in (gen.ring, gen.mixed)]

@@ -1,5 +1,7 @@
 """Tests for the piecewise-affine energy function semiring."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,8 @@ import pytest
 from energyomega import energyfn, laws
 from energyomega.energyfn import (
     CONST_BOTTOM,
+    EnergyFunction,
+    Piece,
     compose,
     identity,
     join,
@@ -23,6 +27,7 @@ from energyomega.errors import (
     SlopeTooSmall,
 )
 from energyomega.extlat import BOTTOM, TOP, finite
+from energyomega.omegaval import ThresholdPredicate
 
 from conftest import F, fn_pieces
 from witnessref import local_finiteness_witness
@@ -30,6 +35,39 @@ from witnessref import local_finiteness_witness
 
 # ----------------------------------------------------------------------
 # validate
+
+
+def test_values_are_immutable_and_equal_only_within_their_class():
+    f = EnergyFunction(bottom=0, bottom_at_boundary=False, pieces=(Piece(0, 2, 1),), top=None,
+                       top_at_boundary=False)
+    assert f == shift(2) and hash(f) == hash(shift(2)) and f != shift(3)
+    assert repr(f) == ("EnergyFunction(bottom=0, bottom_at_boundary=False, "
+                       "pieces=(Piece(start=0, intercept=2, slope=1),), top=None, top_at_boundary=False)")
+    v = ThresholdPredicate(Fraction(1, 2))
+    assert v == ThresholdPredicate(threshold=Fraction(1, 2), inclusive=True)
+    assert repr(v) == "ThresholdPredicate(threshold=Fraction(1, 2), inclusive=True)"
+    assert hash(v) == hash((Fraction(1, 2), True)) and hash(v) == hash(v)
+    for value, field in ((f, "bottom"), (v, "threshold"), (v, "_hash")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    # a tuple of the same fields is not the value
+    assert v.__eq__((Fraction(1, 2), True)) is NotImplemented and v != (Fraction(1, 2), True)
+    assert ThresholdPredicate(None) != CONST_BOTTOM
+    assert pickle.loads(pickle.dumps(f)) == f and copy.deepcopy(v) == v
+
+
+def test_a_function_hashes_its_fields_once():
+    hashed = []
+
+    class Field:
+        def __hash__(self):
+            hashed.append(self)
+            return 7
+
+    f = EnergyFunction(0, False, (Field(),), None, False)
+    assert hash(f) == hash(f) and len(hashed) == 1
 
 
 def test_validate_identity():

@@ -7,23 +7,16 @@ otherwise only show when ``perfbench/run.py --trace 1`` fails.
 """
 
 import importlib
-import importlib.util
 import json
-import os
-import pathlib
 import subprocess
 import sys
 from array import array
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-LAYERS_PY = ROOT / "perfbench" / "layers.py"
+from conftest import ROOT, perfbench, subprocess_env
 
 
 def _layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.LAYERS
+    return perfbench("layers").LAYERS
 
 
 def test_traced_layers_exist():
@@ -44,11 +37,10 @@ def test_word_caches_report_stats():
 def _traced(tmp_path, *argv):
     """Run one CLI command under ``perfbench/traced_cli.py``, which must
     exit 0; return its stdout and the names of the spans it recorded."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(spans), "q", "--", *argv],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        env=subprocess_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     names = json.loads(spans.read_text())["names"]
