@@ -12,14 +12,13 @@ and the states good(v) from which the profile of v (states reached, and
 states reached past an accepting state) leads to an accepting cycle;
 the word is in the component iff they meet.
 Omega-language equality is checked on all lassos up to a stated bound,
-with S_u and good(v) tabulated over the prefix and period trees.
+with S_u and good(v) read from the profiles of one walk over the words.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -386,43 +385,19 @@ def lasso_member(u_word: str, v_word: str, w: LassoLang) -> bool:
     return False
 
 
-def _period_table(buchi, syms: Sequence[str], periods: Sequence[str]) -> List[int]:
-    """For each state q, the periods v with q in good(v), as a bitmask.
-
-    Bit i stands for periods[i].  Profiles are built depth-first over the
-    tree of periods, so only the profiles on the current path are alive.
-    """
-    n, _initial, accepting, post = buchi
-    index = {v: i for i, v in enumerate(periods)}
-    bound = len(periods[-1])
-    none = (0,) * n
-    table = [0] * n
-    stack = [(_identity_profile(n), sym) for sym in reversed(syms)]
-    while stack:
-        parent, v_word = stack.pop()  # the profile of v_word minus its last letter
-        profile = _extend(parent, post.get(v_word[-1], none), accepting)
-        bit = 1 << index[v_word]
-        good = _good(profile)
-        while good:
-            low = good & -good
-            table[low.bit_length() - 1] |= bit
-            good ^= low
-        if len(v_word) < bound:
-            stack.extend((profile, v_word + sym) for sym in reversed(syms))
-    return table
-
-
 def lasso_equal_bounded(w1: LassoLang, w2: LassoLang, bound: int) -> BoundedVerdict:
     """Compare membership on every lasso word with |u| <= B, 1 <= |v| <= B.
 
-    This is lasso_member's test, S_u meets good(v), on whole tables: each
-    component's S_u by dynamic programming over the prefix tree, and its
-    good(v) as one bitmask over the periods per state.  So one prefix
-    answers for all periods at once, and the first counterexample in the
-    order (|u|, u, |v|, v) is the first prefix whose two sides differ, at
-    their lowest differing period bit.  More than MAX_LASSOS lassos
-    (prefixes times periods) raise BudgetExceeded before any table is
-    built.
+    This is lasso_member's test, S_u meets good(v), read from profiles
+    alone: one breadth-first walk over the words w of length <= B, in the
+    order (|w|, w), extends each distinct component's profile by a letter
+    per step.  S_w is the image of the initial states under the profile's
+    reach half; good(w), for w nonempty, sets w's bit (its rank among the
+    nonempty words) in a per-state table.  So one prefix answers for all
+    periods at once, and the first counterexample in the order
+    (|u|, u, |v|, v) is the first prefix whose two sides differ, at their
+    lowest differing period bit.  More than MAX_LASSOS lassos (prefixes
+    times periods) raise BudgetExceeded before any profile is built.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -438,13 +413,30 @@ def lasso_equal_bounded(w1: LassoLang, w2: LassoLang, bound: int) -> BoundedVerd
                 f"bounded lasso check at bound {bound} over {len(syms)} letters "
                 f"exceeds {MAX_LASSOS} lassos"
             )
-    periods = [
-        "".join(t) for length in range(1, bound + 1) for t in product(syms, repeat=length)
-    ]
     comps = list(dict.fromkeys(tuple(w1.pairs) + tuple(w2.pairs)))
     buchis = [_buchi_for_pair(*pair) for pair in comps]
-    tables = [_period_table(b, syms, periods) for b in buchis]
     rows = [[post.get(sym, (0,) * n) for sym in syms] for n, _i, _a, post in buchis]
+    tables = [[0] * n for n, _i, _a, _p in buchis]  # per state, the periods in good(v)
+    words, reached = [], []  # each word in walk order, and its S_w per component
+    level = [("", [_identity_profile(n) for n, _i, _a, _p in buchis])]
+    for length in range(bound + 1):
+        if length:
+            level = [
+                (word + sym, [_extend(p, r[a], b[2]) for p, r, b in zip(profiles, rows, buchis)])
+                for word, profiles in level
+                for a, sym in enumerate(syms)
+            ]
+        for word, profiles in level:
+            if word:
+                bit = 1 << (len(words) - 1)  # w's rank among the nonempty words
+                for profile, table in zip(profiles, tables):
+                    good = _good(profile)
+                    while good:
+                        low = good & -good
+                        table[low.bit_length() - 1] |= bit
+                        good ^= low
+            words.append(word)
+            reached.append([_image(p[0], b[1]) for p, b in zip(profiles, buchis)])
     sides = [[comps.index(pair) for pair in w.pairs] for w in (w1, w2)]
 
     def members(side, states) -> int:
@@ -454,19 +446,11 @@ def lasso_equal_bounded(w1: LassoLang, w2: LassoLang, bound: int) -> BoundedVerd
             out |= _image(tables[c], states[c])
         return out
 
-    level = [("", tuple(b[1] for b in buchis))]  # (u, S_u per component)
-    for ulen in range(bound + 1):
-        if ulen:
-            level = [
-                (u_word + sym, tuple(_image(r[a], s) for r, s in zip(rows, states)))
-                for u_word, states in level
-                for a, sym in enumerate(syms)
-            ]
-        for u_word, states in level:
-            diff = members(sides[0], states) ^ members(sides[1], states)
-            if diff:
-                first = (diff & -diff).bit_length() - 1
-                return BoundedVerdict(False, bound, (u_word, periods[first]))
+    for word, states in zip(words, reached):
+        diff = members(sides[0], states) ^ members(sides[1], states)
+        if diff:
+            first = (diff & -diff).bit_length() - 1
+            return BoundedVerdict(False, bound, (word, words[first + 1]))
     return BoundedVerdict(True, bound)
 
 

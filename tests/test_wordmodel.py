@@ -277,6 +277,65 @@ def test_lasso_budget_checked_before_tables():
         wm.lasso_equal_bounded(one, one, 10**9)
 
 
+def _count_calls(monkeypatch, names):
+    """Wrap each named wordmodel function in a call counter."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(wm, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(wm, name, counted)
+    return calls
+
+
+ABC = ("a", "b", "c")
+
+
+@pytest.mark.parametrize(
+    "w1, w2, bound, comps, equal",
+    [
+        (wm.omega_power(rx("a")), wm.omega_power(rx("a.a")), 5, 2, True),
+        (wm.omega_power(rx("a")), wm.omega_power(rx("b")), 4, 2, False),
+        (
+            wm.lasso([(rx("a*"), rx("a.b")), (rx("b"), rx("a|b"))]),
+            wm.lasso([(rx("b"), rx("a|b")), (rx("a.b|b"), rx("a"))]),
+            5,
+            3,
+            False,
+        ),
+        (
+            wm.omega_power(wordref.parse_regex("a|b.c", ABC)),
+            wm.omega_power(wordref.parse_regex("a|b.c", ABC)),
+            3,
+            1,
+            True,
+        ),
+    ],
+)
+def test_lasso_equal_bounded_extends_each_component_once_per_word(
+    monkeypatch, w1, w2, bound, comps, equal
+):
+    """One profile step and one good(v) per distinct component and
+    nonempty word of length <= B, whether or not the sides differ."""
+    calls = _count_calls(monkeypatch, ("_extend", "_good"))
+    assert wm.lasso_equal_bounded(w1, w2, bound).equal == equal
+    letters = len(w1.pairs[0][0].alphabet)
+    words = sum(letters**length for length in range(1, bound + 1))
+    assert calls == {"_extend": comps * words, "_good": comps * words}
+
+
+def test_lasso_budget_raises_before_any_work(monkeypatch):
+    calls = _count_calls(monkeypatch, ("_buchi_for_pair", "_extend", "_good"))
+    w = wm.omega_power(rx("a"))
+    for bound in (10, 10**9):
+        with pytest.raises(BudgetExceeded):
+            wm.lasso_equal_bounded(w, w, bound)
+    assert calls == {"_buchi_for_pair": 0, "_extend": 0, "_good": 0}
+
+
 # ----------------------------------------------------------------------
 # randomized
 
