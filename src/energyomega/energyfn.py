@@ -83,7 +83,7 @@ class EnergyFunction(Frozen):
     (and at it iff ``top_at_boundary``).  Instances are built by the
     module-level constructors and operations; invariants are assumed.
     Boundaries and piece fields are exact rationals: an int when
-    integral, else a Fraction (``extlat.Rational``).
+    integral, else an ``extlat.Ratio``, whose arithmetic keeps them so.
     """
 
     __slots__ = ("bottom", "bottom_at_boundary", "pieces", "top", "top_at_boundary")
@@ -160,7 +160,7 @@ def identity() -> EnergyFunction:
 
 def shift(d: RationalLike) -> EnergyFunction:
     """f(x) = x + d, with bottom below -d when d < 0."""
-    d = as_fraction(d)
+    d = exact(as_fraction(d))
     if d >= 0:
         return EnergyFunction(_ZERO, False, (Piece(_ZERO, d, _ONE),), None, False)
     b = -d
@@ -169,7 +169,7 @@ def shift(d: RationalLike) -> EnergyFunction:
 
 def top_from(t: RationalLike, inclusive: bool) -> EnergyFunction:
     """Identity below t, top above (and at t iff inclusive)."""
-    t = as_fraction(t)
+    t = exact(as_fraction(t))
     if t == 0 and inclusive:
         return EnergyFunction(_ZERO, False, (), _ZERO, True)
     return EnergyFunction(
@@ -237,7 +237,7 @@ def _canonical(
     """The canonical function with these boundaries and valid pieces: a one-point
     last segment (start == t) folds into its predecessor when that reaches the
     same value at t, else takes slope 1; pieces that continue one another merge.
-    Every integral value becomes an int."""
+    Every integral value becomes an int, and every other a Ratio."""
     if pieces and pieces[-1].start == t:
         last = pieces.pop()
         if not pieces or pieces[-1].value_at(t) != last.intercept:

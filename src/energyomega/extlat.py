@@ -1,20 +1,22 @@
 """The extended value lattice [0, top] with an extra bottom element.
 
 Elements are bottom, an exact nonnegative rational, or top, totally
-ordered as bottom < 0 <= q < top.  All arithmetic is exact.
+ordered as bottom < 0 <= q < top.  All arithmetic is exact, in ints and
+``Ratio``s: Fractions whose arithmetic skips ``numbers``' ABC checks.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from operator import attrgetter
+from math import gcd
 from typing import NamedTuple, Union
 
 from .errors import ParseError
 
-# An exact rational: an int when integral, else a Fraction with denominator > 1.
-# Divide two of them with ``div``, or ``Fraction(a, b)``: int / int is a float.
+# An exact rational: an int when integral, else a Fraction with denominator > 1,
+# a Ratio in energy-function fields.  Divide with ``div``: int / int is a float.
 Rational = Union[int, Fraction]
 RationalLike = Union[int, str, Fraction]
 
@@ -26,6 +28,67 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 _BOT_RANK = 0
 _FIN_RANK = 1
 _TOP_RANK = 2
+
+
+def _method(name: str, combine, compare: bool = False):
+    """Fraction's ``name`` on a Ratio a = n1/d1 and b = n2/d2: ``combine(n1,
+    d1, n2, d2)``, or ``combine(n1 d2, n2 d1)`` to ``compare``.  An int or a
+    Ratio b skips the ``numbers`` checks; None (an unset boundary) is no
+    number, and any other b that is no Fraction goes to Fraction."""
+    fallback = getattr(Fraction, name)
+
+    def method(a, b):
+        t = type(b)
+        if t is int:
+            n, d = b, 1
+        elif t is Ratio:
+            n, d = b._numerator, b._denominator
+        elif b is not None and isinstance(b, Fraction):
+            n, d = b.numerator, b.denominator
+        else:
+            return NotImplemented if b is None else fallback(a, b)
+        if compare:
+            return combine(a._numerator * d, n * a._denominator)
+        return combine(a._numerator, a._denominator, n, d)
+
+    return method
+
+
+class Ratio(Fraction):
+    """A non-integral Fraction, built by ``ratio`` or ``exact``, whose
+    arithmetic and comparisons give an int when integral and skip the
+    ``numbers`` checks; its str, repr, hash and == are Fraction's."""
+
+    __slots__ = ()
+    __add__ = __radd__ = _method("__add__", lambda n1, d1, n2, d2: ratio(n1 * d2 + n2 * d1, d1 * d2))
+    __sub__ = _method("__sub__", lambda n1, d1, n2, d2: ratio(n1 * d2 - n2 * d1, d1 * d2))
+    __rsub__ = _method("__rsub__", lambda n1, d1, n2, d2: ratio(n2 * d1 - n1 * d2, d1 * d2))
+    __mul__ = __rmul__ = _method("__mul__", lambda n1, d1, n2, d2: ratio(n1 * n2, d1 * d2))
+    __truediv__ = _method("__truediv__", lambda n1, d1, n2, d2: ratio(n1 * d2, d1 * n2))
+    __rtruediv__ = _method("__rtruediv__", lambda n1, d1, n2, d2: ratio(n2 * d1, d2 * n1))
+    __eq__, __lt__, __le__, __gt__, __ge__ = (
+        _method(f"__{op}__", getattr(operator, op), True) for op in ("eq", "lt", "le", "gt", "ge"))
+    __hash__ = Fraction.__hash__  # a class that defines __eq__ inherits no hash
+
+    def __neg__(self) -> Rational:
+        return ratio(-self._numerator, self._denominator)
+
+    def __repr__(self) -> str:
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
+def ratio(n: int, d: int) -> Rational:
+    """n / d in lowest terms: an int when integral, else a Ratio."""
+    if not d:
+        raise ZeroDivisionError(f"{n}/0")
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    if g == d:
+        return n // d
+    q = object.__new__(Ratio)  # Fraction.__new__ would check the types again
+    q._numerator, q._denominator = n // g, d // g
+    return q
 
 
 class ExtValue(NamedTuple):
@@ -75,7 +138,7 @@ class Frozen:
     __slots__ = ("_hash",)
 
     def __init_subclass__(cls) -> None:
-        cls._fields = attrgetter(*cls.__slots__)
+        cls._fields = operator.attrgetter(*cls.__slots__)
 
     def __init__(self, *fields) -> None:
         for name, value in zip(self.__slots__, fields):
@@ -134,20 +197,17 @@ def as_fraction(q: RationalLike) -> Rational:
             raise ParseError(f"bad rational literal {q!r}") from exc
     elif not isinstance(q, Fraction):
         raise ParseError(f"cannot interpret {q!r} as a rational")
-    return exact(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 def div(a: Rational, b: Rational) -> Rational:
-    """The exact quotient a / b: an int when integral, else a Fraction."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return exact(a / b)  # a Fraction on either side keeps it exact
+    """The exact quotient a / b: an int when integral, else a Ratio."""
+    return ratio(a, b) if type(a) is int is type(b) else exact(a / b)
 
 
 def exact(q: Rational) -> Rational:
-    """q as an int when integral: Fraction arithmetic can give Fraction(k, 1)."""
-    return q.numerator if q.denominator == 1 else q
+    """q as an int when integral, else a Ratio: Fraction arithmetic can give Fraction(k, 1)."""
+    return q if type(q) is int or type(q) is Ratio else ratio(q.numerator, q.denominator)
 
 
 def json_flag(obj: dict, key: str, default: bool) -> bool:
@@ -159,7 +219,7 @@ def json_flag(obj: dict, key: str, default: bool) -> bool:
 
 
 def finite(q: RationalLike) -> ExtValue:
-    frac = as_fraction(q)
+    frac = exact(as_fraction(q))
     if frac < 0:
         raise ValueError(f"finite lattice values must be >= 0, got {frac}")
     return ExtValue(_FIN_RANK, frac)

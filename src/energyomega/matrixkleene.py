@@ -98,7 +98,15 @@ def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, keep: Sequence[int]) 
     as the solve.
     """
     alg = M.algebra
-    mul, join, zero = functools.cache(alg.mul), functools.cache(alg.join), alg.zero
+    products, joins, zero = {}, {}, alg.zero
+
+    def memo(done, op, x, y):
+        out = done.get((x, y))
+        if out is None:
+            out = done[x, y] = op(x, y)
+        return out
+
+    mul, join = functools.partial(memo, products, alg.mul), functools.partial(memo, joins, alg.join)
     act, vjoin, vzero = (alg.act, alg.vjoin, alg.vzero) if omega else (mul, join, zero)
 
     def is_zero(x) -> bool:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from . import energyfn
 from .energyfn import EnergyFunction
-from .extlat import ExtValue, Frozen, Rational, RationalLike, as_fraction, finite
+from .extlat import ExtValue, Frozen, Rational, RationalLike, as_fraction, exact, finite
 
 
 class ThresholdPredicate(Frozen):
@@ -38,7 +38,7 @@ NEVER = ThresholdPredicate(None, True)
 
 
 def from_threshold(t: RationalLike, inclusive: bool = True) -> ThresholdPredicate:
-    t = as_fraction(t)
+    t = exact(as_fraction(t))
     if t < 0:
         raise ValueError("thresholds live in [0, top)")
     return ThresholdPredicate(t, inclusive)

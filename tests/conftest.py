@@ -72,6 +72,10 @@ GOLDEN_RUNS = [
     ("wordcheck_omega_sum_b5.json",
      ["wordcheck", "--identity", "omega-sum", "--cases", "1", "--bound", "5"], 0),
     ("wordcheck_group_c2.json", ["wordcheck", "--identity", "group-C2", "--cases", "1"], 0),
+    # non-integral rationals through the CLI: mixed8.json is gen.mixed(8, random.Random(5))
+    ("reach_mixed8_5_2.json", ["reach", str(GOLDEN / "mixed8.json"), "--energy", "5/2", "--verify"], 0),
+    ("buchi_mixed8_5_2.json", ["buchi", str(GOLDEN / "mixed8.json"), "--energy", "5/2", "--verify"], 1),
+    ("eval_mixed_5_2.json", ["eval", str(GOLDEN / "mixed.json"), "--energy", "5/2"], 0),
 ]
 
 
