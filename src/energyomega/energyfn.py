@@ -47,7 +47,7 @@ from .errors import (
     SlopeTooSmall,
 )
 from .extlat import (
-    BOTTOM, TOP, ExtValue, Frozen, Rational, RationalLike, as_fraction, div, exact, finite,
+    _FIN_RANK, BOTTOM, TOP, ExtValue, Frozen, Rational, RationalLike, as_fraction, div, exact,
     json_flag,
 )
 
@@ -119,7 +119,8 @@ class EnergyFunction(Frozen):
         if x.is_top:
             return TOP
         law = self.laws_at(x.value)[0]
-        return BOTTOM if law is None else TOP if law is _TOP_LAW else finite(law[0])
+        # law[0] is an exact rational >= 0 already, so it needs no parsing
+        return BOTTOM if law is None else TOP if law is _TOP_LAW else ExtValue(_FIN_RANK, law[0])
 
     # -- internal geometry helpers -------------------------------------
 
@@ -223,6 +224,8 @@ def validate(
         limit = ps[i - 1].value_at(ps[i].start)
         if limit > ps[i].intercept:
             raise NonMonotone(f"downward jump at {ps[i].start}")
+    if t is None and top_at_boundary:
+        raise MalformedPieces("an inclusive top flag needs a top boundary")
     if t is not None:
         if t < ps[-1].start:
             raise MalformedPieces("top boundary inside the piece run")
@@ -465,8 +468,8 @@ def from_json(obj: dict) -> EnergyFunction:
     if top_json is None:
         top_b, top_flag = None, False
     else:
-        if not isinstance(top_json, dict) or "boundary" not in top_json:
-            raise ParseError("'top' must be null or an object with a 'boundary'")
+        if not isinstance(top_json, dict) or top_json.get("boundary") is None:
+            raise ParseError("'top' must be null or an object with a non-null 'boundary'")
         top_b = top_json["boundary"]
         top_flag = json_flag(top_json, "top_at_boundary", False)
     return validate(

@@ -26,7 +26,10 @@ class StarAlgebra:
     ``vjoin``, ``vzero`` and ``omega`` are the semimodule's left action,
     join, zero and the omega power of a semiring element.  Elements must
     be hashable, with equal elements giving equal results: the solve
-    keeps each product and join by its operands.
+    keeps each product and join by its operands.  The solve tells ``zero``
+    and ``vzero`` by identity alone and skips work on them: zero absorbs
+    products and is join's unit, and acting on ``vzero`` gives ``vzero``,
+    so an equal copy of either costs work but changes no answer.
     """
 
     join: Callable[[Any, Any], Any]
@@ -80,24 +83,25 @@ def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, keep: Sequence[int]) 
 
     Under ``omega`` c is over the semimodule, with its ``act``, ``vjoin``
     and ``vzero``; otherwise over the semiring, with ``mul``, ``join``
-    and ``zero``.  The states are ordered as ``keep`` followed by the
-    others by index, and eliminated from the last of that order to the
-    first: with a_pp summing the cycles at p through the states already
-    eliminated, and j over the states before p in the order,
+    and ``zero``.  Each state is renamed to its place in the order: the
+    ``keep`` states, then the others by index.  The places are eliminated
+    from the last to the first: with a_pp summing the cycles at p through
+    the places already eliminated, and j over the places below p,
 
         v_p = a_pp^w + a_pp* (c_p + sum_j a_pj v_j)
 
-    is substituted into the rows of those states.  The a_pp^w term, kept
+    is substituted into the rows of those places.  The a_pp^w term, kept
     under ``omega``, carries the runs whose first infinitely repeated
-    state in the order is p.  Products and joins with a zero are skipped.
-    v_p depends only on the states before it, so only the ``keep`` states
-    are back-substituted, along ``keep``.
+    state in the order is p.  v_p depends only on the places below it, so
+    only the ``keep`` places are back-substituted, in ascending place.
 
-    Operand pairs repeat within a solve, so ``mul`` and ``join`` keep
-    every result in a dict keyed by the operand pair, which lives as long
-    as the solve.
+    A row is a dict, keyed by place and read in ascending place, of the
+    entries that are not ``zero`` itself; work on ``zero`` or ``vzero``
+    itself is skipped, so an equal copy of a zero costs work but changes
+    no answer.  ``mul`` and ``join`` keep every result in a dict keyed by
+    the operand pair, which lives as long as the solve.
     """
-    alg = M.algebra
+    alg, n = M.algebra, M.dim
     products, joins, zero = {}, {}, alg.zero
 
     def memo(done, op, x, y):
@@ -109,51 +113,38 @@ def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, keep: Sequence[int]) 
     mul, join = functools.partial(memo, products, alg.mul), functools.partial(memo, joins, alg.join)
     act, vjoin, vzero = (alg.act, alg.vjoin, alg.vzero) if omega else (mul, join, zero)
 
-    def is_zero(x) -> bool:
-        return x is zero or x == zero
-
-    def is_vzero(x) -> bool:
-        return x is vzero or x == vzero
-
     def vadd(u, w):
-        return w if is_vzero(u) else vjoin(u, w)
+        return w if u is vzero else vjoin(u, w)
 
-    order = [*keep, *sorted(set(range(M.dim)).difference(keep))]
-    a = [list(row) for row in M.rows]
-    c = list(c)
-    solved = {}  # p: (constant part of v_p, [(j, a_pp* a_pj)])
-    for k in range(M.dim - 1, -1, -1):
-        p, earlier = order[k], order[:k]
-        ap = a[p]
-        loop_star = None if is_zero(ap[p]) else alg.star(ap[p])
-        row = [
-            (j, ap[j] if loop_star is None else mul(loop_star, ap[j]))
-            for j in earlier
-            if not is_zero(ap[j])
-        ]
-        d = c[p]
-        if loop_star is not None:
-            d = d if is_vzero(d) else act(loop_star, d)
-            d = vadd(alg.omega(ap[p]), d) if omega else d
-        for i in earlier:
-            x = a[i][p]
-            if is_zero(x):
-                continue
+    order = [*keep, *sorted(set(range(n)).difference(keep))]
+    place = {p: k for k, p in enumerate(order)}
+    a = [{place[j]: x for j, x in enumerate(M.rows[p]) if x is not zero} for p in order]
+    c = [c[p] for p in order]
+    solved = [None] * n  # k: (constant part of v_k, [(j, a_kk* a_kj)])
+    for k in range(n - 1, -1, -1):
+        loop = a[k].pop(k, zero)
+        star = None if loop is zero else alg.star(loop)
+        row = [(j, y if star is None else mul(star, y)) for j, y in sorted(a[k].items())]
+        d = c[k]
+        if star is not None:
+            d = d if d is vzero else act(star, d)
+            d = vadd(alg.omega(loop), d) if omega else d
+        for i, x in [(i, a[i].pop(k)) for i in range(k) if k in a[i]]:
             for j, y in row:
-                xy = mul(x, y)
-                a[i][j] = xy if is_zero(a[i][j]) else join(a[i][j], xy)
-            if not is_vzero(d):
+                xy, old = mul(x, y), a[i].get(j, zero)
+                if xy is not zero:
+                    a[i][j] = xy if old is zero else join(old, xy)
+            if d is not vzero:
                 c[i] = vadd(c[i], act(x, d))
-        solved[p] = d, row
+        solved[k] = d, row
 
-    v = {}
-    for p in keep:
-        d, row = solved[p]
+    v = []
+    for d, row in solved[: len(keep)]:
         for j, y in row:
-            if not is_vzero(v[j]):
+            if v[j] is not vzero:
                 d = vadd(d, act(y, v[j]))
-        v[p] = d
-    return tuple(v[p] for p in keep)
+        v.append(d)
+    return tuple(v)
 
 
 def mat_star_vec(M: SquareMatrix, c: Sequence[Any]) -> tuple:
@@ -191,8 +182,8 @@ def flagged(M: SquareMatrix, flags: Sequence[bool]) -> SquareMatrix:
     ``wordmodel._extend``'s (reach, flag) profile over any star algebra.
     As y <= x, a product with a factor whose y is its x has y = x."""
     alg, zero = M.algebra, M.algebra.zero
-    join, star = functools.cache(alg.join), functools.cache(alg.star)
-    mul = functools.cache(lambda x, y: zero if zero in (x, y) else alg.mul(x, y))
+    join, star, zeros = functools.cache(alg.join), functools.cache(alg.star), (zero, zero)
+    mul = functools.cache(lambda x, y: zero if x is zero or y is zero else alg.mul(x, y))
 
     def pair_mul(a, b):
         x = mul(a[0], b[0])
@@ -202,11 +193,12 @@ def flagged(M: SquareMatrix, flags: Sequence[bool]) -> SquareMatrix:
         alg,
         join=lambda a, b: (join(a[0], b[0]), join(a[1], b[1])),
         mul=pair_mul,
-        zero=(zero, zero),
+        zero=zeros,
         one=(alg.one, zero),
         star=lambda a: (star(a[0]), mul(mul(star(a[0]), a[1]), star(a[0]))),
         equal=lambda a, b: alg.equal(a[0], b[0]) and alg.equal(a[1], b[1]),
         act=lambda a, v: alg.act(a[0], v),
         omega=lambda a: alg.omega(mul(star(a[0]), a[1])),
     )
-    return matrix(pairs, [[(x, x if f else zero) for x, f in zip(row, flags)] for row in M.rows])
+    return matrix(pairs, [[zeros if x is zero else (x, x if f else zero) for x, f in zip(r, flags)]
+                          for r in M.rows])

@@ -103,6 +103,9 @@ def test_validate_rejects_inclusive_bottom_with_pieces():
     # only the bottom/top step admits an inclusive bottom boundary
     with pytest.raises(MalformedPieces):
         validate(1, True, [(1, 6, 2)])
+    # nor does an inclusive top flag without a top boundary
+    with pytest.raises(MalformedPieces, match="inclusive top flag"):
+        validate(0, False, [(0, 0, 1)], None, True)
 
 
 def test_validate_step_function():
@@ -366,3 +369,8 @@ def test_json_rejects_degenerate():
         energyfn.from_json(
             {"bottom": {"boundary": "0", "bottom_at_boundary": False}, "pieces": []}
         )
+    for flag in (True, False):
+        with pytest.raises(ParseError):
+            energyfn.from_json({"bottom": {"boundary": "0"},
+                                "pieces": [{"start": "0", "intercept": "0", "slope": "1"}],
+                                "top": {"boundary": None, "top_at_boundary": flag}})

@@ -1,5 +1,6 @@
 """Tests for generic matrix star/omega over the energy algebra."""
 
+import copy
 import dataclasses
 import random
 from collections import Counter
@@ -24,7 +25,8 @@ from blockref import (
     mat_vec_act,
     mat_zero,
 )
-from conftest import F
+from conftest import F, perfbench
+from test_boolean_pair import BOOL
 
 ALG = mk.ENERGY_ALGEBRA
 
@@ -191,6 +193,78 @@ def test_solve_computes_each_operand_pair_once():
         value = energyauto.reach_value(aut)
         assert max(calls.values()) == 1 and products[-1] == value
         assert value == column[initial]
+
+
+class Bit:
+    """An interned Boolean whose ``==`` raises: a solve that tells zero
+    apart by anything but identity fails on it."""
+
+    __slots__ = ("value",)
+    __hash__ = object.__hash__
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        raise AssertionError("an algebra element was compared with ==")
+
+
+ON, OFF = Bit(True), Bit(False)
+BITS = mk.StarAlgebra(
+    join=lambda x, y: ON if x.value or y.value else OFF,
+    mul=lambda x, y: ON if x.value and y.value else OFF,
+    zero=OFF,
+    one=ON,
+    star=lambda x: ON,
+    equal=lambda x, y: x is y,
+    act=lambda x, y: ON if x.value and y.value else OFF,
+    vjoin=lambda x, y: ON if x.value or y.value else OFF,
+    vzero=OFF,
+    omega=lambda x: x,
+)
+
+
+def test_the_solve_tells_zero_by_identity_alone():
+    # the Boolean pair over elements without ==: every answer as over bools
+    cases = (
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1, 0, 0]),
+        ([[1, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0]], [0, 0, 0, 1]),
+        ([[0, 1, 1, 0, 0], [0, 0, 0, 0, 1], [0, 1, 1, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0]],
+         [0, 1, 0, 0, 0]),
+    )
+    bit = {True: ON, False: OFF}
+    for rows, flags in cases:
+        n, bools = len(rows), [[bool(x) for x in row] for row in rows]
+        B, M = mk.matrix(BOOL, bools), mk.matrix(BITS, [[bit[x] for x in row] for row in bools])
+        c = [bool(f) for f in flags]
+        runs = [
+            lambda A, c: mk.mat_star_vec(A, c),
+            lambda A, c: mk.mat_omega(A),
+            lambda A, c, flags=c: mk.mat_omega(mk.flagged(A, flags)),
+        ]
+        for keep in ([n - 1, 0], [1], range(n)):
+            for omega in (False, True):
+                runs.append(lambda A, c, omega=omega, keep=keep: mk._solve(A, c, omega, keep))
+        for run in runs:
+            want, got = run(B, c), run(M, [bit[x] for x in c])
+            assert [x.value for x in got] == list(want)
+
+
+def test_an_equal_copy_of_zero_changes_no_answer():
+    # zero entries that equal CONST_BOTTOM without being it are work, not
+    # answers: each becomes a live entry of the solve
+    gen = perfbench("gen")
+    for build in (gen.ring, gen.mixed):
+        aut = energyauto.from_json(build(16, random.Random(5)))
+        rows = [[copy.deepcopy(x) if x is CONST_BOTTOM else x for x in row]
+                for row in aut.matrix.rows]
+        copied = dataclasses.replace(aut, matrix=mk.matrix(ALG, rows))
+        assert any(x == CONST_BOTTOM and x is not CONST_BOTTOM for row in rows for x in row)
+        for value in (energyauto.reach_value, energyauto.buchi_value):
+            assert value(copied) == value(aut)
+        zeta = [identity() if s in aut.accepting else CONST_BOTTOM for s in aut.states]
+        copies = [copy.deepcopy(x) if x is CONST_BOTTOM else x for x in zeta]
+        assert mk.mat_star_vec(copied.matrix, copies) == mk.mat_star_vec(aut.matrix, zeta)
 
 
 def test_split_independence():
