@@ -201,7 +201,7 @@ def validate(
             raise MalformedPieces(
                 "empty piece list requires top == bottom with complementary flags"
             )
-        return EnergyFunction(b, bottom_at_boundary, (), t, top_at_boundary)
+        return _canonical(b, bottom_at_boundary, [], t, top_at_boundary)
 
     if bottom_at_boundary:
         # an inclusive bottom boundary next to finite values would make

@@ -114,7 +114,7 @@ def random_energy_function(rng: random.Random) -> EnergyFunction:
 def random_predicate(rng: random.Random) -> ThresholdPredicate:
     if rng.random() < 0.15:
         return NEVER
-    return ThresholdPredicate(_small_frac(rng, 0, 8), rng.random() < 0.5)
+    return omegaval.from_threshold(_small_frac(rng, 0, 8), rng.random() < 0.5)
 
 
 def random_samples(rng: random.Random, k: int) -> List[ExtValue]:

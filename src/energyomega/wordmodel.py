@@ -12,7 +12,7 @@ and the states good(v) from which the profile of v (states reached, and
 states reached past an accepting state) leads to an accepting cycle;
 the word is in the component iff they meet.
 Omega-language equality is checked on all lassos up to a stated bound,
-with S_u and good(v) read from the profiles of one walk over the words.
+with S_u and good(v) read once per distinct profile the words reach.
 """
 
 from __future__ import annotations
@@ -347,15 +347,10 @@ def _good(profile: Tuple[tuple, tuple]) -> int:
         for i in range(n):
             if closure[i] & low:
                 closure[i] |= k_reach
-    core = 0
+    core = 0  # the states q with a flagged edge q -> f and a path f -> q
     for q in range(n):
-        f = flag[q]
-        while f:
-            low = f & -f
-            if closure[low.bit_length() - 1] >> q & 1:
-                core |= 1 << q
-                break
-            f ^= low
+        if _image(closure, flag[q]) >> q & 1:
+            core |= 1 << q
     good = 0  # a state of core lies on a cycle, so it reaches itself
     for i in range(n):
         if closure[i] & core:
@@ -388,23 +383,29 @@ def lasso_member(u_word: str, v_word: str, w: LassoLang) -> bool:
 def lasso_equal_bounded(w1: LassoLang, w2: LassoLang, bound: int) -> BoundedVerdict:
     """Compare membership on every lasso word with |u| <= B, 1 <= |v| <= B.
 
-    This is lasso_member's test, S_u meets good(v), read from profiles
-    alone: one breadth-first walk over the words w of length <= B, in the
-    order (|w|, w), extends each distinct component's profile by a letter
-    per step.  S_w is the image of the initial states under the profile's
-    reach half; good(w), for w nonempty, sets w's bit (its rank among the
-    nonempty words) in a per-state table.  So one prefix answers for all
-    periods at once, and the first counterexample in the order
-    (|u|, u, |v|, v) is the first prefix whose two sides differ, at their
-    lowest differing period bit.  More than MAX_LASSOS lassos (prefixes
-    times periods) raise BudgetExceeded before any profile is built.
+    This is lasso_member's test, S_u meets good(v), which depends only on
+    the profiles of u and v.  A breadth-first walk maps each distinct tuple
+    of component profiles to its first word, extending letter by letter
+    only the tuples the last level added, for at most B levels.  S_w is the
+    image of the initial states under the reach half; good(w) sets the bit
+    of w's tuple (its rank among the nonempty ones) in a per-state table.
+    The first prefix tuple whose sides differ, at their lowest differing
+    period bit, gives the first counterexample in (|u|, u, |v|, v) order:
+
+    - A tuple first reached at length k+1 extends one first reached at
+      length k, and levels expand in first-word order, letters in order.
+      So a tuple's first word is its least in (|w|, w) order, and the least
+      counterexample's prefix and period are each the first of their tuple.
+    - The empty word's tuple is a prefix, not a period: a nonempty word
+      with that tuple has flags all zero, so an empty good(v).
+
+    More than MAX_LASSOS lassos (prefixes times periods) raise
+    BudgetExceeded before any profile is built.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    sigma: Set[str] = set()
-    for u, v in tuple(w1.pairs) + tuple(w2.pairs):
-        sigma |= u.alphabet
-    syms = sorted(sigma) or ["a"]
+    pairs = tuple(w1.pairs) + tuple(w2.pairs)
+    syms = sorted(set().union(*(u.alphabet for u, _v in pairs))) or ["a"]
     count = 0
     for length in range(1, bound + 1):
         count += len(syms) ** length
@@ -413,44 +414,31 @@ def lasso_equal_bounded(w1: LassoLang, w2: LassoLang, bound: int) -> BoundedVerd
                 f"bounded lasso check at bound {bound} over {len(syms)} letters "
                 f"exceeds {MAX_LASSOS} lassos"
             )
-    comps = list(dict.fromkeys(tuple(w1.pairs) + tuple(w2.pairs)))
+    comps = list(dict.fromkeys(pairs))
     buchis = [_buchi_for_pair(*pair) for pair in comps]
     rows = [[post.get(sym, (0,) * n) for sym in syms] for n, _i, _a, post in buchis]
+    first = {tuple(_identity_profile(n) for n, _i, _a, _p in buchis): ""}
+    done = 0  # how many tuples, in insertion order, the walk has expanded
+    for _ in range(bound):
+        level, done = list(first)[done:], len(first)
+        for profiles in level:
+            for a, sym in enumerate(syms):
+                step = tuple(_extend(p, r[a], b[2]) for p, r, b in zip(profiles, rows, buchis))
+                first.setdefault(step, first[profiles] + sym)  # keeps the first word
+    words = list(first.values())
     tables = [[0] * n for n, _i, _a, _p in buchis]  # per state, the periods in good(v)
-    words, reached = [], []  # each word in walk order, and its S_w per component
-    level = [("", [_identity_profile(n) for n, _i, _a, _p in buchis])]
-    for length in range(bound + 1):
-        if length:
-            level = [
-                (word + sym, [_extend(p, r[a], b[2]) for p, r, b in zip(profiles, rows, buchis)])
-                for word, profiles in level
-                for a, sym in enumerate(syms)
-            ]
-        for word, profiles in level:
-            if word:
-                bit = 1 << (len(words) - 1)  # w's rank among the nonempty words
-                for profile, table in zip(profiles, tables):
-                    good = _good(profile)
-                    while good:
-                        low = good & -good
-                        table[low.bit_length() - 1] |= bit
-                        good ^= low
-            words.append(word)
-            reached.append([_image(p[0], b[1]) for p, b in zip(profiles, buchis)])
-    sides = [[comps.index(pair) for pair in w.pairs] for w in (w1, w2)]
-
-    def members(side, states) -> int:
-        """The periods v with u . v^omega on this side, as a bitmask."""
-        out = 0
-        for c in side:
-            out |= _image(tables[c], states[c])
-        return out
-
-    for word, states in zip(words, reached):
-        diff = members(sides[0], states) ^ members(sides[1], states)
-        if diff:
-            first = (diff & -diff).bit_length() - 1
-            return BoundedVerdict(False, bound, (word, words[first + 1]))
+    for rank, profiles in enumerate(list(first)[1:]):
+        for profile, table in zip(profiles, tables):
+            good = _good(profile)
+            for q in range(len(table)):
+                table[q] |= (good >> q & 1) << rank
+    sides = [sum({1 << comps.index(pair) for pair in w.pairs}) for w in (w1, w2)]
+    for profiles, word in first.items():
+        # per component, the periods v with word . v^omega in it
+        hits = [_image(t, _image(p[0], b[1])) for p, t, b in zip(profiles, tables, buchis)]
+        diff = _image(hits, sides[0]) ^ _image(hits, sides[1])
+        if diff:  # period bit i stands for words[i + 1]
+            return BoundedVerdict(False, bound, (word, words[(diff & -diff).bit_length()]))
     return BoundedVerdict(True, bound)
 
 

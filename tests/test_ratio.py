@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from energyomega import energyauto as ea, energyfn, matrixkleene as mk, omegaval
+from energyomega import energyauto as ea, energyfn, laws, matrixkleene as mk, omegaval
 from energyomega.extlat import Ratio, div, exact, finite, parse_ext, ratio
 
 from conftest import perfbench
@@ -138,3 +138,16 @@ def test_the_public_constructors_store_ints_and_ratios():
              finite(Fraction(5, 2)), parse_ext("7/2"))
     for value in built:
         assert {type(q) for q in _rationals(value)} <= {int, Ratio}, value
+
+
+def test_parsed_steps_and_drawn_values_store_ints_and_ratios():
+    step = {"bottom": {"boundary": "1/2", "bottom_at_boundary": True},
+            "pieces": [], "top": {"boundary": "1/2"}}
+    rng = random.Random(3)
+    built = [energyfn.from_json(step)]
+    built += [laws.random_energy_function(rng) for _ in range(3000)]
+    built += [laws.random_predicate(rng) for _ in range(2000)]
+    rationals = [q for value in built for q in _rationals(value)]
+    assert any(type(q) is Ratio for q in rationals)
+    leaked = [q for q in rationals if not (type(q) is int or type(q) is Ratio)]
+    assert not leaked, leaked[:5]

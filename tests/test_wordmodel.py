@@ -294,37 +294,61 @@ def _count_calls(monkeypatch, names):
 ABC = ("a", "b", "c")
 
 
+THREE_COMPONENTS = (
+    wm.lasso([(rx("a*"), rx("a.b")), (rx("b"), rx("a|b"))]),
+    wm.lasso([(rx("b"), rx("a|b")), (rx("a.b|b"), rx("a"))]),
+)
+
+
 @pytest.mark.parametrize(
-    "w1, w2, bound, comps, equal",
+    "w1, w2, bound, equal, extends, goods",
     [
-        (wm.omega_power(rx("a")), wm.omega_power(rx("a.a")), 5, 2, True),
-        (wm.omega_power(rx("a")), wm.omega_power(rx("b")), 4, 2, False),
-        (
-            wm.lasso([(rx("a*"), rx("a.b")), (rx("b"), rx("a|b"))]),
-            wm.lasso([(rx("b"), rx("a|b")), (rx("a.b|b"), rx("a"))]),
-            5,
-            3,
-            False,
-        ),
+        (wm.omega_power(rx("a")), wm.omega_power(rx("a.a")), 5, True, 24, 10),
+        (wm.omega_power(rx("a")), wm.omega_power(rx("b")), 4, False, 24, 10),
+        (*THREE_COMPONENTS, 5, False, 114, 60),
         (
             wm.omega_power(wordref.parse_regex("a|b.c", ABC)),
             wm.omega_power(wordref.parse_regex("a|b.c", ABC)),
             3,
-            1,
             True,
+            30,
+            13,
         ),
     ],
+    ids=["a-vs-aa", "a-vs-b", "three-components", "abc"],
 )
-def test_lasso_equal_bounded_extends_each_component_once_per_word(
-    monkeypatch, w1, w2, bound, comps, equal
+def test_lasso_equal_bounded_extends_each_distinct_profile_once(
+    monkeypatch, w1, w2, bound, equal, extends, goods
 ):
-    """One profile step and one good(v) per distinct component and
-    nonempty word of length <= B, whether or not the sides differ."""
+    """One profile step per distinct component, expanded profile tuple and
+    letter, and one good(v) per distinct component and distinct nonempty
+    profile tuple, whether or not the sides differ.  A walk over every
+    word would make 124, 60, 186 and 39 of each."""
     calls = _count_calls(monkeypatch, ("_extend", "_good"))
     assert wm.lasso_equal_bounded(w1, w2, bound).equal == equal
-    letters = len(w1.pairs[0][0].alphabet)
-    words = sum(letters**length for length in range(1, bound + 1))
-    assert calls == {"_extend": comps * words, "_good": comps * words}
+    assert calls == {"_extend": extends, "_good": goods}
+
+
+@pytest.mark.parametrize(
+    "w1, w2, counterexample, extends, goods",
+    [
+        (wm.omega_power(rx("a")), wm.omega_power(rx("a.a")), None, 24, 10),
+        (*THREE_COMPONENTS, ("", "ab"), 126, 60),
+    ],
+    ids=["a-vs-aa", "three-components"],
+)
+def test_lasso_equal_bounded_work_stops_once_the_walk_closes(
+    monkeypatch, w1, w2, counterexample, extends, goods
+):
+    """Both walks add no profile tuple after a few levels, so bounds 6 and
+    9 make the same calls; a walk over every word would make about 8 times as
+    many at bound 9."""
+    calls = _count_calls(monkeypatch, ("_extend", "_good"))
+    for bound in (6, 9):
+        calls.update(_extend=0, _good=0)
+        verdict = wm.lasso_equal_bounded(w1, w2, bound)
+        assert verdict == wm.BoundedVerdict(counterexample is None, bound, counterexample)
+        assert calls == {"_extend": extends, "_good": goods}
 
 
 def test_lasso_budget_raises_before_any_work(monkeypatch):
