@@ -21,9 +21,9 @@ The candidates are f's structure points and the points where a piece of
 f meets a line, all found by ``_meets``: a level of g (compose), a piece
 of g (join), or the line y = t or y = x (the action, star and omega).
 ``_sweep`` builds a function from the readings, ``threshold`` stops at
-the first one on or above its line, and ``_canonical`` is the normal
-form of results and validated inputs.  Just above a point lo, a law
-(v, s) takes the values v + s*e for small e > 0, so:
+the first one on or above its line, and the ``EnergyFunction``
+constructor gives every function its normal form.  Just above a point
+lo, a law (v, s) takes the values v + s*e for small e > 0, so:
 
 - a compose reads g just above f(lo), since f has slope >= 1, so one
   lookup of g at f(lo) serves both readings;
@@ -80,17 +80,31 @@ class EnergyFunction(Frozen):
     ``bottom is None`` encodes the constant-bottom function.  Otherwise
     f(x) = bottom below ``bottom`` (and at it iff ``bottom_at_boundary``),
     follows ``pieces`` on the finite region, and is top above ``top``
-    (and at it iff ``top_at_boundary``).  Instances are built by the
-    module-level constructors and operations; invariants are assumed.
-    Boundaries and piece fields are exact rationals: an int when
-    integral, else an ``extlat.Ratio``, whose arithmetic keeps them so.
+    (and at it iff ``top_at_boundary``).  ``validate`` checks the
+    invariants of a raw description; the constructor assumes them and
+    gives the normal form: a one-point last segment (start == top) folds
+    into its predecessor when that reaches the same value at top, else
+    takes slope 1; pieces that continue one another merge; and every
+    boundary and piece field becomes exact, an int when integral, else
+    an ``extlat.Ratio``, whose arithmetic keeps it so.
     """
 
     __slots__ = ("bottom", "bottom_at_boundary", "pieces", "top", "top_at_boundary")
 
-    def __init__(self, bottom: Optional[Rational], bottom_at_boundary: bool, pieces: tuple,
+    def __init__(self, bottom: Optional[Rational], bottom_at_boundary: bool, pieces: Sequence[Piece],
                  top: Optional[Rational], top_at_boundary: bool) -> None:
-        super().__init__(bottom, bottom_at_boundary, pieces, top, top_at_boundary)
+        if pieces and pieces[-1].start == top:  # False when top is None
+            *pieces, last = pieces
+            if not pieces or pieces[-1].value_at(top) != last.intercept:
+                pieces.append(Piece(top, last.intercept, _ONE))
+        merged: list = []
+        for p in pieces:
+            q = merged[-1] if merged else None
+            if q is None or p.slope != q.slope or q.value_at(p.start) != p.intercept:
+                ints = type(p.start) is type(p.intercept) is type(p.slope) is int
+                merged.append(p if ints else Piece(*map(exact, p)))
+        super().__init__(bottom if bottom is None else exact(bottom), bottom_at_boundary,
+                         tuple(merged), top if top is None else exact(top), top_at_boundary)
 
     @property
     def is_const_bottom(self) -> bool:
@@ -161,7 +175,7 @@ def identity() -> EnergyFunction:
 
 def shift(d: RationalLike) -> EnergyFunction:
     """f(x) = x + d, with bottom below -d when d < 0."""
-    d = exact(as_fraction(d))
+    d = as_fraction(d)
     if d >= 0:
         return EnergyFunction(_ZERO, False, (Piece(_ZERO, d, _ONE),), None, False)
     b = -d
@@ -170,7 +184,7 @@ def shift(d: RationalLike) -> EnergyFunction:
 
 def top_from(t: RationalLike, inclusive: bool) -> EnergyFunction:
     """Identity below t, top above (and at t iff inclusive)."""
-    t = exact(as_fraction(t))
+    t = as_fraction(t)
     if t == 0 and inclusive:
         return EnergyFunction(_ZERO, False, (), _ZERO, True)
     return EnergyFunction(
@@ -201,7 +215,7 @@ def validate(
             raise MalformedPieces(
                 "empty piece list requires top == bottom with complementary flags"
             )
-        return _canonical(b, bottom_at_boundary, [], t, top_at_boundary)
+        return EnergyFunction(b, bottom_at_boundary, (), t, top_at_boundary)
 
     if bottom_at_boundary:
         # an inclusive bottom boundary next to finite values would make
@@ -231,27 +245,7 @@ def validate(
             raise MalformedPieces("top boundary inside the piece run")
         if t == ps[-1].start and top_at_boundary:
             raise MalformedPieces("last piece has an empty segment")
-    return _canonical(b, bottom_at_boundary, ps, t, top_at_boundary)
-
-
-def _canonical(
-    b: Rational, b_flag: bool, pieces: list, t: Optional[Rational], t_flag: bool
-) -> EnergyFunction:
-    """The canonical function with these boundaries and valid pieces: a one-point
-    last segment (start == t) folds into its predecessor when that reaches the
-    same value at t, else takes slope 1; pieces that continue one another merge.
-    Every integral value becomes an int, and every other a Ratio."""
-    if pieces and pieces[-1].start == t:
-        last = pieces.pop()
-        if not pieces or pieces[-1].value_at(t) != last.intercept:
-            pieces.append(Piece(t, last.intercept, _ONE))
-    merged: list = []
-    for p in pieces:
-        q = merged[-1] if merged else None
-        if q is None or p.slope != q.slope or q.value_at(p.start) != p.intercept:
-            ints = type(p.start) is type(p.intercept) is type(p.slope) is int
-            merged.append(p if ints else Piece(*map(exact, p)))
-    return EnergyFunction(exact(b), b_flag, tuple(merged), t if t is None else exact(t), t_flag)
+    return EnergyFunction(b, bottom_at_boundary, ps, t, top_at_boundary)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +298,7 @@ def _sweep(cands: Iterable[Rational], laws_at) -> EnergyFunction:
             # the gap after a finite point: the point's value must start it
             assert pieces.pop().intercept == c, "right-continuity violated at a point"
         pieces.append(Piece(lo, c, slope))
-    return _canonical(b, b_flag, pieces, t, t_flag)
+    return EnergyFunction(b, b_flag, pieces, t, t_flag)
 
 
 def _meets(lines: Sequence[tuple], others: Sequence[tuple]) -> list:
@@ -408,7 +402,7 @@ def threshold(
             got, want = (law, (y, slope)) if above else (law[0], y)
             if not (got > want if strict else got >= want):
                 continue
-        return exact(lo), not above
+        return lo, not above
     return None
 
 

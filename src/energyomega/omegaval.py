@@ -21,7 +21,8 @@ class ThresholdPredicate(Frozen):
     __slots__ = ("threshold", "inclusive")
 
     def __init__(self, threshold: Optional[Rational], inclusive: bool = True) -> None:
-        super().__init__(threshold, inclusive)  # a None threshold encodes Never
+        # a None threshold encodes Never
+        super().__init__(threshold if threshold is None else exact(threshold), inclusive)
 
     @property
     def is_never(self) -> bool:
@@ -38,7 +39,7 @@ NEVER = ThresholdPredicate(None, True)
 
 
 def from_threshold(t: RationalLike, inclusive: bool = True) -> ThresholdPredicate:
-    t = exact(as_fraction(t))
+    t = as_fraction(t)
     if t < 0:
         raise ValueError("thresholds live in [0, top)")
     return ThresholdPredicate(t, inclusive)

@@ -18,7 +18,6 @@ from energyomega.energyfn import (
     EnergyFunction,
     Law,
     Piece,
-    _canonical,
     _meets,
     identity,
     top_from,
@@ -69,7 +68,7 @@ def _sweep(cands: Iterable[Fraction], at) -> EnergyFunction:
         pieces.append(Piece(lo, c, slope))
     if b is None:
         return CONST_BOTTOM
-    return _canonical(b, b_flag, pieces, t, t_flag)
+    return EnergyFunction(b, b_flag, pieces, t, t_flag)
 
 
 def _first(cands: Iterable[Fraction], hit) -> Optional[tuple]:

@@ -584,6 +584,35 @@ def test_verify_on_the_benchmark_ring_at_n_128():
     assert len(aut.edges) == 3 * 128
 
 
+def test_metamorphic_relations_on_the_benchmark_families_at_n_64():
+    gen = perfbench("gen")
+    for family in (gen.ring, gen.mixed):
+        aut = ea.from_json(family(64, random.Random(5)))
+        reach, buchi = ea.reach_value(aut), ea.buchi_value(aut)
+        edges = [(aut.states[i], aut.states[j], fn) for i, j, fn in aut.edges]
+
+        def values(states, initial, edges, accepting=aut.accepting):
+            other = ea.automaton(states, initial, accepting, edges)
+            return ea.reach_value(other), ea.buchi_value(other)
+
+        # route one edge through a fresh, non-accepting state
+        k = len(edges) // 2
+        src, dst, fn = edges[k]
+        routed = edges[:k] + edges[k + 1:] + [(src, "mid", fn), ("mid", dst, identity())]
+        assert values(aut.states + ("mid",), aut.initial, routed) == (reach, buchi)
+        # a fresh start state reaches each old initial one through x + 3
+        starts = [("start", q, shift(3)) for q in aut.initial]
+        assert values(aut.states + ("start",), ["start"], edges + starts) == (
+            energyfn.compose(shift(3), reach), omegaval.act(shift(3), buchi))
+        # a copy that no initial state reaches, with edges into the original
+        copy = {q: ("copy", q) for q in aut.states}
+        copies = [(copy[a], copy[b], f) for a, b, f in edges]
+        copies += [(copy[q], q, identity()) for q in aut.initial]
+        states = aut.states + tuple(copy.values())
+        accepting = [*aut.accepting, *(copy[q] for q in aut.accepting)]
+        assert values(states, aut.initial, edges + copies, accepting) == (reach, buchi)
+
+
 def test_permutation_invariance():
     rng = random.Random(42)
     for _ in range(25):

@@ -26,7 +26,7 @@ from energyomega.errors import (
     ParseError,
     SlopeTooSmall,
 )
-from energyomega.extlat import BOTTOM, TOP, finite
+from energyomega.extlat import BOTTOM, TOP, Ratio, finite
 from energyomega.omegaval import ThresholdPredicate
 
 from conftest import F, fn_pieces
@@ -61,13 +61,32 @@ def test_values_are_immutable_and_equal_only_within_their_class():
 def test_a_function_hashes_its_fields_once():
     hashed = []
 
-    class Field:
+    class Field(Piece):
         def __hash__(self):
             hashed.append(self)
             return 7
 
-    f = EnergyFunction(0, False, (Field(),), None, False)
+    f = EnergyFunction(0, False, (Field(0, 2, 1),), None, False)
     assert hash(f) == hash(f) and len(hashed) == 1
+
+
+def test_construction_normalises_and_canonicalises():
+    # two base-Fraction pieces that continue one another: the identity
+    f = EnergyFunction(Fraction(0), False, (Piece(Fraction(0), Fraction(0), Fraction(1)),
+                                            Piece(Fraction(2), Fraction(2), Fraction(1))), None, False)
+    assert f == identity() and hash(f) == hash(identity())
+    # a one-point last segment that its predecessor reaches folds into it
+    g = EnergyFunction(Fraction(1, 2), False, (Piece(Fraction(1, 2), 0, Fraction(3, 2)),
+                                               Piece(Fraction(5, 2), Fraction(3), 1)),
+                       Fraction(5, 2), False)
+    assert g == fn_pieces(Fraction(1, 2), [(Fraction(1, 2), 0, Fraction(3, 2))], Fraction(5, 2))
+    for h in (f, g):
+        fields = [h.bottom, h.top, *(q for p in h.pieces for q in p)]
+        assert all(type(q) is int or type(q) is Ratio for q in fields if q is not None), h
+    two, half = ThresholdPredicate(Fraction(4, 2)).threshold, ThresholdPredicate(Fraction(1, 2)).threshold
+    assert two == 2 and type(two) is int and type(half) is Ratio
+    for x in (f, g, ThresholdPredicate(Fraction(1, 2))):
+        assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
 
 
 def test_validate_identity():

@@ -339,6 +339,18 @@ def test_group_word_c3_decided():
         assert report.verdict == "Pass", (seed, report.failures, report.unknowns)
 
 
+def test_group_word_c3_c4_klein_within_the_pair_budget():
+    # these relate up to a few hundred pairs of state sets under HKC; a
+    # plain walk over the pairs goes past MAX_EQUALITY_PAIRS here
+    alg, draw = laws.model("word", "ab")
+    rng = random.Random(3)
+    for name in ("C3", "C4", "klein"):
+        report = laws.LawReport(f"group-{name}", "word")
+        elements = [draw(rng) for _ in laws.GROUP_TABLES[name]]
+        laws.check_group_identity(report, name, alg, elements, bound=2)
+        assert report.verdict == "Pass" and not report.unknowns, (name, report.failures)
+
+
 def test_group_word_out_of_budget_is_unknown():
     # the row sums of M_G* equal (x+y)*, but proving it for these x and y
     # relates more than MAX_EQUALITY_PAIRS pairs of state sets
