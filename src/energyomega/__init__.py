@@ -1,18 +1,18 @@
 """Energy functions, omega values and automata; other names live in their modules."""
 
-from .energyfn import shift
-from .extlat import finite
+import importlib
 
 __all__ = ["energyauto", "energyfn", "extlat", "laws", "matrixkleene", "omegaval", "wordmodel",
            "automaton", "buchi", "finite", "reachable", "shift"]
 
 __version__ = "0.1.0"
 
+# root names whose modules load on first use: wordcheck starts without the energy layers
+_LAZY = {"automaton": "energyauto", "buchi": "energyauto", "reachable": "energyauto",
+         "finite": "extlat", "shift": "energyfn"}
+
 
 def __getattr__(name: str):
-    # the automaton layers load on first use, so eval, star and omega start without them
-    if name in ("automaton", "buchi", "reachable"):
-        from . import energyauto
-
-        return getattr(energyauto, name)
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,13 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import Optional
 
-from . import energyfn
 from .errors import BudgetExceeded, EnergyOmegaError, ParseError, UnknownIdentity
-from .extlat import format_ext, parse_ext
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -55,6 +52,7 @@ def _print_answer(args, answer: bool, value, text) -> int:
 
 def cmd_reach(args) -> int:
     from . import energyauto
+    from .extlat import format_ext, parse_ext
 
     aut = energyauto.from_json(_load_json(args.automaton))
     result = energyauto.reachable(aut, parse_ext(args.energy), verify=args.verify)
@@ -64,6 +62,7 @@ def cmd_reach(args) -> int:
 
 def cmd_buchi(args) -> int:
     from . import energyauto, omegaval
+    from .extlat import parse_ext
 
     aut = energyauto.from_json(_load_json(args.automaton))
     result = energyauto.buchi(aut, parse_ext(args.energy), verify=args.verify)
@@ -72,6 +71,8 @@ def cmd_buchi(args) -> int:
 
 def _print_result(args, op, to_json) -> int:
     """Print ``op`` (star or omega) of the function and its JSON encoding."""
+    from . import energyfn
+
     out = op(energyfn.from_json(_load_json(args.function)))
     doc = to_json(out)
     _emit(args, [f"{args.command}: {out}", json.dumps(doc)], {"command": args.command, "result": doc})
@@ -79,6 +80,8 @@ def _print_result(args, op, to_json) -> int:
 
 
 def cmd_star(args) -> int:
+    from . import energyfn
+
     return _print_result(args, energyfn.star, energyfn.to_json)
 
 
@@ -89,6 +92,9 @@ def cmd_omega(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import energyfn
+    from .extlat import format_ext, parse_ext
+
     f = energyfn.from_json(_load_json(args.function))
     value = format_ext(f.eval(parse_ext(args.energy)))
     _emit(args, [f"value: {value}"], {"command": "eval", "energy": args.energy, "value": value})
@@ -105,6 +111,8 @@ def cmd_laws(args) -> int:
 
 
 def cmd_wordcheck(args) -> int:
+    import random
+
     from . import laws
 
     identities = (*laws.IDENTITIES, "group-C2")

@@ -11,7 +11,8 @@ reports a word-model failure as L1/L2, or W1/W2 with a lasso
 counterexample, and a comparison that raises BudgetExceeded as Unknown.
 IDENTITIES is one table of Conway identities shared by both models and
 ``wordcheck``; group identities take a GROUP_TABLES name.  All
-randomness is seeded, so every failure is replayable.
+randomness is seeded, so every failure is replayable.  The energy
+instance's layers load on first use, so the word instance runs without them.
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from . import energyauto, energyfn, matrixkleene as mk, omegaval, wordmodel
-from .energyfn import EnergyFunction
+from . import matrixkleene as mk, wordmodel
 from .errors import (
     BudgetExceeded, InvalidGroupTable, InvalidRegrouping, UnknownIdentity, ValidationError,
 )
-from .extlat import BOTTOM, TOP, ExtValue, finite
-from .omegaval import NEVER, ThresholdPredicate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from . import energyauto, energyfn, extlat, omegaval
 
 
 @dataclass
@@ -66,15 +67,18 @@ class LawReport:
 # Seeded generators
 
 
-_SLOPES = (Fraction(1), Fraction(3, 2), Fraction(2))
+_SLOPES = ((1, 1), (3, 2), (2, 1))  # the slopes 1, 3/2 and 2 as (numerator, denominator)
 
 
 def _small_frac(rng: random.Random, lo: int = 0, hi: int = 8) -> Fraction:
+    from fractions import Fraction
     return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 4)))
 
 
-def random_energy_function(rng: random.Random) -> EnergyFunction:
+def random_energy_function(rng: random.Random) -> energyfn.EnergyFunction:
     """1-4 affine pieces, slopes in {1, 3/2, 2}, optional bottom/top regions."""
+    from fractions import Fraction
+    from . import energyfn
     roll = rng.random()
     if roll < 0.05:
         return energyfn.CONST_BOTTOM
@@ -98,7 +102,7 @@ def random_energy_function(rng: random.Random) -> EnergyFunction:
                 value = prev[1] + prev[2] * (s - prev[0])
                 if rng.random() < 0.4:
                     value += _small_frac(rng, 1, 4)
-            pieces.append((s, value, rng.choice(_SLOPES)))
+            pieces.append((s, value, Fraction(*rng.choice(_SLOPES))))
         top = None
         top_incl = False
         if rng.random() < 0.25:
@@ -111,13 +115,15 @@ def random_energy_function(rng: random.Random) -> EnergyFunction:
     return energyfn.identity()
 
 
-def random_predicate(rng: random.Random) -> ThresholdPredicate:
+def random_predicate(rng: random.Random) -> omegaval.ThresholdPredicate:
+    from . import omegaval
     if rng.random() < 0.15:
-        return NEVER
+        return omegaval.NEVER
     return omegaval.from_threshold(_small_frac(rng, 0, 8), rng.random() < 0.5)
 
 
-def random_samples(rng: random.Random, k: int) -> List[ExtValue]:
+def random_samples(rng: random.Random, k: int) -> List[extlat.ExtValue]:
+    from .extlat import BOTTOM, TOP, finite
     out = [BOTTOM, finite(0), TOP]
     while len(out) < k:
         out.append(finite(_small_frac(rng, 0, 12)))
@@ -178,15 +184,16 @@ def _named(table: dict, name: str):
 def _oracle_cases(
     report: LawReport,
     inputs: str,
-    lhs: Union[EnergyFunction, ThresholdPredicate],
+    lhs: Union[energyfn.EnergyFunction, omegaval.ThresholdPredicate],
     aut: energyauto.EnergyAutomaton,
-    samples: Sequence[ExtValue],
+    samples: Sequence[extlat.ExtValue],
 ) -> None:
     """One case per sample: an energy function against ``oracle_reach``'s
     value, a threshold predicate against ``oracle_buchi``'s answer."""
+    from . import energyauto, energyfn, omegaval
     for x in samples:
         report.cases += 1
-        if isinstance(lhs, EnergyFunction):
+        if isinstance(lhs, energyfn.EnergyFunction):
             want, got = lhs.eval(x), energyauto.oracle_reach(aut, x).value
             sides = str(want), str(got)
         else:
@@ -202,12 +209,13 @@ def _oracle_cases(
 
 def check_ax0(
     report: LawReport,
-    f: EnergyFunction,
-    g: EnergyFunction,
-    h: EnergyFunction,
-    samples: Sequence[ExtValue],
+    f: energyfn.EnergyFunction,
+    g: energyfn.EnergyFunction,
+    h: energyfn.EnergyFunction,
+    samples: Sequence[extlat.ExtValue],
 ) -> None:
     """Compare f g* h with the best run of 0 -f-> 1 -g-> 1 -h-> 2."""
+    from . import energyauto, energyfn
     lhs = energyfn.compose(energyfn.compose(f, energyfn.star(g)), h)
     aut = energyauto.automaton(range(3), [0], [2], [(0, 1, f), (1, 1, g), (1, 2, h)])
     _oracle_cases(report, f"f={f}; g={g}; h={h}", lhs, aut, samples)
@@ -218,26 +226,27 @@ def check_ax0(
 
 
 def _regrouped_lasso(
-    prefix: Sequence[EnergyFunction],
-    cycle: Sequence[EnergyFunction],
+    prefix: Sequence[energyfn.EnergyFunction],
+    cycle: Sequence[energyfn.EnergyFunction],
     head: int,
     blocks: Sequence[int],
-) -> Tuple[List[EnergyFunction], List[EnergyFunction]]:
+) -> Tuple[List[energyfn.EnergyFunction], List[energyfn.EnergyFunction]]:
     """Peel `head` elements, then group the tail by the block sizes, in
     whole rounds of the blocks: enough rounds to pass the prefix, then a
     cycle of rounds that returns to the same cycle position."""
+    from . import omegaval
     if head < 0:
         raise InvalidRegrouping("head must be nonnegative")
     blocks = list(blocks)
     if not blocks or any(b <= 0 for b in blocks):
         raise InvalidRegrouping("blocks must be positive and nonempty")
 
-    def element(n: int) -> EnergyFunction:
+    def element(n: int) -> energyfn.EnergyFunction:
         if n < len(prefix):
             return prefix[n]
         return cycle[(n - len(prefix)) % len(cycle)]
 
-    def grouped(start: int, rounds: int) -> List[EnergyFunction]:
+    def grouped(start: int, rounds: int) -> List[energyfn.EnergyFunction]:
         ends = list(accumulate(blocks * rounds, initial=start))
         return [omegaval.compose_all([element(n) for n in range(a, b)])
                 for a, b in zip(ends, ends[1:])]
@@ -251,10 +260,11 @@ def _regrouped_lasso(
 
 def check_ax1_ax2(
     report: LawReport,
-    prefix: Sequence[EnergyFunction],
-    cycle: Sequence[EnergyFunction],
+    prefix: Sequence[energyfn.EnergyFunction],
+    cycle: Sequence[energyfn.EnergyFunction],
     regrouping: Tuple[int, Sequence[int]],
 ) -> None:
+    from . import omegaval
     head, blocks = regrouping
     lhs = omegaval.infinite_product_lasso(prefix, cycle)
     new_prefix, new_cycle = _regrouped_lasso(prefix, cycle, head, blocks)
@@ -270,11 +280,11 @@ def check_ax1_ax2(
 
 def check_ax3(
     report: LawReport,
-    prefix: Sequence[EnergyFunction],
-    cycle: Sequence[EnergyFunction],
-    y: EnergyFunction,
-    z: EnergyFunction,
-    samples: Sequence[ExtValue],
+    prefix: Sequence[energyfn.EnergyFunction],
+    cycle: Sequence[energyfn.EnergyFunction],
+    y: energyfn.EnergyFunction,
+    z: energyfn.EnergyFunction,
+    samples: Sequence[extlat.ExtValue],
 ) -> None:
     """Compare prod x_n (y v z) with the join over choice sequences.
 
@@ -282,6 +292,7 @@ def check_ax3(
     run: state 2n steps by x_n to 2n + 1, which steps by y or by z to the
     next position.  The first cycle position is accepting.
     """
+    from . import energyauto, energyfn, omegaval
     yz = energyfn.join(y, z)
     lhs = omegaval.infinite_product_lasso(
         [energyfn.compose(p, yz) for p in prefix],
@@ -304,9 +315,9 @@ def check_ax3(
 
 def check_ax4(
     report: LawReport,
-    f: EnergyFunction,
-    cycle: Sequence[EnergyFunction],
-    samples: Sequence[ExtValue],
+    f: energyfn.EnergyFunction,
+    cycle: Sequence[energyfn.EnergyFunction],
+    samples: Sequence[extlat.ExtValue],
 ) -> None:
     """Compare prod f* y_n with the join over exponent sequences.
 
@@ -315,6 +326,7 @@ def check_ax4(
     and leaves by y_n.  The f-loop is off the accepting states, so an
     accepted run takes finitely many f steps between y steps.
     """
+    from . import energyauto, energyfn, omegaval
     fstar = energyfn.star(f)
     lhs = omegaval.infinite_product_lasso([], [energyfn.compose(fstar, y) for y in cycle])
     edges = []
@@ -459,13 +471,14 @@ def check_group_identity(
 
 def check_bi_inductive(
     report: LawReport,
-    f: EnergyFunction,
-    v: ThresholdPredicate,
-    samples: Sequence[ExtValue],
+    f: energyfn.EnergyFunction,
+    v: omegaval.ThresholdPredicate,
+    samples: Sequence[extlat.ExtValue],
 ) -> None:
     """w = f^w + f* v refolds to f w + v, and holds exactly where an
     accepting f-loop with an edge, alive where v holds, into an accepting
     identity loop has an accepting run."""
+    from . import energyauto, energyfn, omegaval
     w = omegaval.vjoin(omegaval.omega(f), omegaval.act(energyfn.star(f), v))
     inputs = f"f={f}; v={v}"
 

@@ -4,7 +4,8 @@
 share one elimination solve for the greatest solution of v = M v + c;
 ``mat_star`` solves it once per column, with a unit vector as c.  The
 solve works over an abstract operation set, so the energy instance and the
-regular-language instance share the same code.
+regular-language instance share the same code.  ``ENERGY_ALGEBRA``, the
+energy instance, is built on first access, with the energy layers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
-from . import energyfn, omegaval
 from .errors import BadAcceptingCount, DimensionMismatch
 
 
@@ -44,18 +44,26 @@ class StarAlgebra:
     omega: Callable[[Any], Any]
 
 
-ENERGY_ALGEBRA = StarAlgebra(
-    join=energyfn.join,
-    mul=energyfn.compose,
-    zero=energyfn.CONST_BOTTOM,
-    one=energyfn.identity(),
-    star=energyfn.star,
-    equal=operator.eq,
-    act=omegaval.act,
-    vjoin=omegaval.vjoin,
-    vzero=omegaval.NEVER,
-    omega=omegaval.omega,
-)
+def __getattr__(name: str):
+    """ENERGY_ALGEBRA, built on first access and then kept as a global."""
+    if name != "ENERGY_ALGEBRA":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import energyfn, omegaval
+
+    global ENERGY_ALGEBRA
+    ENERGY_ALGEBRA = StarAlgebra(
+        join=energyfn.join,
+        mul=energyfn.compose,
+        zero=energyfn.CONST_BOTTOM,
+        one=energyfn.identity(),
+        star=energyfn.star,
+        equal=operator.eq,
+        act=omegaval.act,
+        vjoin=omegaval.vjoin,
+        vzero=omegaval.NEVER,
+        omega=omegaval.omega,
+    )
+    return ENERGY_ALGEBRA
 
 
 @dataclass(frozen=True)

@@ -333,6 +333,29 @@ def test_cli_import_leaves_laws_and_word_model_unloaded():
     assert out.splitlines() == ["[]", "[]", "True", "True energyomega.wordmodel energyomega.energyauto"]
 
 
+def test_word_path_leaves_the_energy_layers_unloaded():
+    """wordcheck and the word law suite start without the energy layers and
+    fractions; the energy law suite then loads them in the same process."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import energyomega.cli as cli\n"
+        "runs = [['wordcheck', '--identity', i, '--cases', '1']\n"
+        "        for i in ('omega-sum', 'omega-product', 'conway-star', 'group-C2')]\n"
+        "for argv in runs + [['laws', '--instance', 'word', '--cases', '1']]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "energy = ['energyomega.' + m for m in ('energyfn', 'extlat', 'omegaval', 'energyauto')]\n"
+        "print(sorted(set(energy + ['fractions']).intersection(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['laws', '--instance', 'energy', '--cases', '1'])\n"
+        "print(code, all(m in sys.modules for m in energy))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "0 True"]
+
+
 def test_help_text(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     out = ""

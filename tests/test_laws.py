@@ -106,7 +106,7 @@ def test_regrouping_is_exact(monkeypatch):
     """The regrouped lasso unrolls to the blocks of the original one, in
     order, not only to an equal product: compose_all becomes ``tuple`` and
     the elements are their own positions."""
-    monkeypatch.setattr(laws.omegaval, "compose_all", tuple)
+    monkeypatch.setattr(omegaval, "compose_all", tuple)
     cases = [
         ([0, 1], [2, 3, 4], 5, (2,)),  # head past the prefix; blocks coprime to the cycle
         ([0, 1, 2], [3, 4], 1, (1, 3)),  # the prefix ends inside a round

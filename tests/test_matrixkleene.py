@@ -195,6 +195,29 @@ def test_solve_computes_each_operand_pair_once():
         assert value == column[initial]
 
 
+def test_energy_algebra_is_built_once_and_read_at_call_time(monkeypatch):
+    # the benchmark tracer swaps in a copy with wrapped operations, and
+    # energyauto.automaton reads mk.ENERGY_ALGEBRA when it is called
+    assert mk.ENERGY_ALGEBRA is mk.ENERGY_ALGEBRA
+    assert getattr(mk, "no_such_name", None) is None
+    calls = []
+
+    def counting_mul(f, g):
+        calls.append((f, g))
+        return energyfn.compose(f, g)
+
+    def build():
+        return energyauto.automaton(range(2), [0], [1], [(0, 1, shift(2)), (1, 1, shift(-1))])
+
+    want = energyauto.reach_value(build())
+    swapped = dataclasses.replace(mk.ENERGY_ALGEBRA, mul=counting_mul)
+    monkeypatch.setattr(mk, "ENERGY_ALGEBRA", swapped)
+    aut = build()
+    assert aut.matrix.algebra is swapped and not calls
+    assert energyauto.reach_value(aut) == want
+    assert calls
+
+
 class Bit:
     """An interned Boolean whose ``==`` raises: a solve that tells zero
     apart by anything but identity fails on it."""
