@@ -11,19 +11,21 @@ Functions are right-continuous at interior breakpoints: the value at a
 breakpoint always belongs to the segment starting there.  This class is
 closed under all operations implemented here.
 
-Compose, join, star, omega and the action on thresholds are one sweep:
-``_cells`` reads two laws (bottom, top, or a value with a slope) at each
-candidate abscissa where the result can change: the law at it, and the
-law just above it, which holds up to the next candidate.  Both come from
-one lookup, ``EnergyFunction.laws_at``: by right-continuity they share
-the value f(lo) and differ only at the bottom and top boundaries.
-The candidates are f's structure points and the points where a piece of
-f meets a line, all found by ``_meets``: a level of g (compose), a piece
-of g (join), or the line y = t or y = x (the action, star and omega).
-``_sweep`` builds a function from the readings, ``threshold`` stops at
-the first one on or above its line, and the ``EnergyFunction``
-constructor gives every function its normal form.  Just above a point
-lo, a law (v, s) takes the values v + s*e for small e > 0, so:
+Every operation reads two laws (bottom, top, or a value with a slope)
+at each abscissa where its result can change: the law at it, and the law
+just above it, which holds up to the next such point.  Both come from one
+lookup, ``EnergyFunction.laws_at``: by right-continuity they share the
+value f(lo) and differ only at the bottom and top boundaries.
+``compose`` and ``join`` find their points by one forward walk over the
+sorted pieces, linear in the piece count: as f rises it passes g's
+levels in order, and two merged lists of structure points leave gaps in
+which two lines cross at most once.  ``_sweep`` builds a function from
+their readings.  ``threshold`` (the action, star and omega) meets one
+line, y = t or y = x: it sorts f's structure points with the points
+where a piece of f meets the line, all found by ``_meets``, and stops at
+the first reading on or above it.  The ``EnergyFunction`` constructor
+gives every function its normal form.  Just above a point lo, a law
+(v, s) takes the values v + s*e for small e > 0, so:
 
 - a compose reads g just above f(lo), since f has slope >= 1, so one
   lookup of g at f(lo) serves both readings;
@@ -47,12 +49,13 @@ from .errors import (
     SlopeTooSmall,
 )
 from .extlat import (
-    _FIN_RANK, BOTTOM, TOP, ExtValue, Frozen, Rational, RationalLike, as_fraction, div, exact,
-    json_flag,
+    _FIN_RANK, BOTTOM, TOP, ExtValue, Frozen, Ratio, Rational, RationalLike, as_fraction, div,
+    exact, json_flag,
 )
 
 _ZERO = 0
 _ONE = 1
+_EXACT = (int, Ratio)  # exact() leaves these as they are
 
 # Law of a function at a finite point x: None for bottom, "top" for top,
 # or (v, s) meaning value v at x, and v + s*(y - x) just above x.
@@ -93,7 +96,7 @@ class EnergyFunction(Frozen):
 
     def __init__(self, bottom: Optional[Rational], bottom_at_boundary: bool, pieces: Sequence[Piece],
                  top: Optional[Rational], top_at_boundary: bool) -> None:
-        if pieces and pieces[-1].start == top:  # False when top is None
+        if pieces and top is not None and pieces[-1].start == top:
             *pieces, last = pieces
             if not pieces or pieces[-1].value_at(top) != last.intercept:
                 pieces.append(Piece(top, last.intercept, _ONE))
@@ -101,8 +104,8 @@ class EnergyFunction(Frozen):
         for p in pieces:
             q = merged[-1] if merged else None
             if q is None or p.slope != q.slope or q.value_at(p.start) != p.intercept:
-                ints = type(p.start) is type(p.intercept) is type(p.slope) is int
-                merged.append(p if ints else Piece(*map(exact, p)))
+                exact_already = type(p.start) in _EXACT and type(p.intercept) in _EXACT
+                merged.append(p if exact_already and type(p.slope) in _EXACT else Piece(*map(exact, p)))
         super().__init__(bottom if bottom is None else exact(bottom), bottom_at_boundary,
                          tuple(merged), top if top is None else exact(top), top_at_boundary)
 
@@ -110,10 +113,11 @@ class EnergyFunction(Frozen):
     def is_const_bottom(self) -> bool:
         return self.bottom is None
 
-    def laws_at(self, q: Rational) -> tuple:
+    def laws_at(self, q: Rational, i: Optional[int] = None) -> tuple:
         """The laws at a finite abscissa and just above it, from one lookup:
         each None (bottom), "top", or (f(q), slope), f(q) being the right
-        limit.  Where the two agree they are the same object."""
+        limit.  Where the two agree they are the same object.  A walk that
+        knows the index ``i`` of the piece holding q passes it."""
         b, t = self.bottom, self.top
         if b is None or q < b:
             return None, None
@@ -123,8 +127,9 @@ class EnergyFunction(Frozen):
         if self.bottom_at_boundary and q == b:
             # only the bottom-to-top step has an inclusive bottom boundary
             return None, _TOP_LAW
-        p = self.pieces[bisect_right(self.pieces, q, key=_start) - 1]
-        law = p.value_at(q), p.slope
+        p = self.pieces[bisect_right(self.pieces, q, key=_start) - 1 if i is None else i]
+        # walks read mostly at piece starts, passing the start object itself
+        law = p.intercept if q is p.start else p.value_at(q), p.slope
         return law, _TOP_LAW if at_top else law
 
     def eval(self, x: ExtValue) -> ExtValue:
@@ -249,7 +254,125 @@ def validate(
 
 
 # ----------------------------------------------------------------------
-# The sweep: one candidate grid read by every operation
+# The builder: a canonical function from its readings
+
+
+def _sweep(readings: Iterable[tuple]) -> EnergyFunction:
+    """The canonical function read from ``(lo, here, up)`` readings, lo
+    ascending: the law ``here`` at each point lo where the law may change,
+    and the law ``up`` just above lo, which holds up to the next point.
+    Some reading is live: ``join``'s operands live at their bottom
+    boundaries, and ``compose``'s unbounded f reaches g's bottom boundary
+    at a point or just above.
+    """
+    b = t = None
+    b_flag = t_flag = False
+    pieces: list = []
+    for lo, here, up in readings:
+        if up is None:
+            assert b is None, "non-monotone segment structure"
+            continue
+        if b is None:
+            b, b_flag = lo, here is None
+        if up is _TOP_LAW:
+            if t is None:
+                t, t_flag = lo, here is _TOP_LAW
+                if type(here) is tuple:  # a one-point last segment
+                    pieces.append(Piece(lo, *here))
+            continue
+        assert t is None and here == up, "non-monotone or not right-continuous"
+        pieces.append(Piece(lo, *up))
+    return EnergyFunction(b, b_flag, pieces, t, t_flag)
+
+
+# ----------------------------------------------------------------------
+# Semiring operations
+
+
+def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
+    """Diagrammatic composition: first f, then g.
+
+    One walk up f's structure points.  f increases, so it passes g's
+    levels (g's structure points) in order: ``j`` counts those at or below
+    f's value, and a piece (lo, c, s) of f passes the next one, y, at
+    lo + (y - c)/s unless the piece ends first.  g's laws at f's value
+    come from g's piece ``min(j, m) - 1``; f has slope >= 1, so g's law
+    just above f's value holds just above the point.
+    """
+    if f.is_const_bottom or g.is_const_bottom:
+        return CONST_BOTTOM
+    pts, n = f.structure_points(), len(f.pieces)
+    levels, m = g.structure_points(), len(g.pieces)
+    j, out = 0, []
+    for i, lo in enumerate(pts):
+        lf, lf_up = f.laws_at(lo, min(i, n - 1))
+        if lf is None or lf is _TOP_LAW:  # then lf_up is bottom or top too
+            out.append((lo, lf, lf_up))
+            continue
+        x, (c, s), end = lo, lf, pts[i + 1] if i + 1 < len(pts) else None
+        while j < len(levels) and levels[j] <= c:
+            j += 1
+        while True:
+            lg, lg_up = g.laws_at(lf[0], min(j, m) - 1)
+            here = (lg[0], s * lg[1]) if type(lg) is tuple else lg
+            # just above x, f's and g's laws differ from those at x only by being top
+            out.append((x, here, here if lf_up is lf and lg_up is lg else _TOP_LAW))
+            if lf_up is not lf or j == len(levels):  # f is top above x, or no level is left
+                break
+            y = levels[j]
+            x = lo + div(y - c, s)
+            if end is not None and x >= end:
+                break
+            j += 1
+            lf = lf_up = y, s
+    return _sweep(out)
+
+
+def _higher(lf: Law, lg: Law) -> Law:
+    """The larger of two laws: of equal values, the one with the larger slope."""
+    if lf is _TOP_LAW or lg is _TOP_LAW:
+        return _TOP_LAW
+    if lf is None or lg is None:
+        return lg if lf is None else lf
+    return lf if lf >= lg else lg
+
+
+def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
+    """Pointwise supremum.
+
+    One walk up the merged structure points of f and g: ``i`` and ``j``
+    count those of f and of g at or below the point q.  Up to the next
+    point both are affine, so if the lower law just above q is the
+    steeper, it overtakes the higher once, and the walk reads there too.
+    """
+    if f.is_const_bottom:
+        return g
+    if g.is_const_bottom:
+        return f
+    pf, nf, pg, ng = f.structure_points(), len(f.pieces), g.structure_points(), len(g.pieces)
+    i = j = 0
+    out: list = []
+    nxt = min(pf[0], pg[0])
+    while nxt is not None:
+        q = nxt
+        i += i < len(pf) and pf[i] == q  # step past q in the lists that hold it
+        j += j < len(pg) and pg[j] == q
+        a, b = pf[i] if i < len(pf) else None, pg[j] if j < len(pg) else None
+        nxt = a if b is None else b if a is None or b < a else a
+        (lf, lf_up), (lg, lg_up) = f.laws_at(q, min(i, nf) - 1), g.laws_at(q, min(j, ng) - 1)
+        up = _higher(lf_up, lg_up)
+        out.append((q, up if lf is lf_up and lg is lg_up else _higher(lf, lg), up))
+        low = lg_up if up is lf_up else lf_up
+        if type(low) is tuple and type(up) is tuple and low[1] > up[1]:
+            x = q + div(up[0] - low[0], low[1] - up[1])
+            if nxt is None or x < nxt:
+                law = up[0] + up[1] * (x - q), low[1]
+                out.append((x, law, law))
+    return _sweep(out)
+
+
+# ----------------------------------------------------------------------
+# Thresholds shared by star, omega and the semimodule action
 
 
 def _cells(cands: Iterable[Rational], laws_at) -> Iterator[tuple]:
@@ -271,36 +394,6 @@ def _cells(cands: Iterable[Rational], laws_at) -> Iterator[tuple]:
         yield lo, True, above
 
 
-def _sweep(cands: Iterable[Rational], laws_at) -> EnergyFunction:
-    """The canonical function whose law at each finite q is ``laws_at(q)[0]``.
-
-    The law may change only at a candidate, so reading it at every grid
-    point and just above it determines the function.  Some reading is live:
-    ``join``'s operands live at their bottom boundaries, and ``compose``'s
-    unbounded f reaches g's bottom boundary at a grid point or just above.
-    """
-    b = t = None
-    b_flag = t_flag = False
-    pieces: list = []
-    for lo, above, law in _cells(cands, laws_at):
-        if law is None:
-            assert b is None, "non-monotone segment structure"
-            continue
-        if b is None:
-            b, b_flag = lo, above
-        if law is _TOP_LAW:
-            if t is None:
-                t, t_flag = lo, not above
-            continue
-        assert t is None, "non-monotone segment structure"
-        c, slope = law
-        if above and pieces and pieces[-1].start == lo:
-            # the gap after a finite point: the point's value must start it
-            assert pieces.pop().intercept == c, "right-continuity violated at a point"
-        pieces.append(Piece(lo, c, slope))
-    return EnergyFunction(b, b_flag, pieces, t, t_flag)
-
-
 def _meets(lines: Sequence[tuple], others: Sequence[tuple]) -> list:
     """Abscissas where a line of ``lines`` meets one of ``others`` on their
     common segment; lines are (slope, value at 0, start, end or None)."""
@@ -315,70 +408,6 @@ def _meets(lines: Sequence[tuple], others: Sequence[tuple]) -> list:
             if x >= lo and (hi is None or x <= hi):
                 out.append(x)
     return out
-
-
-# ----------------------------------------------------------------------
-# Semiring operations
-
-
-def _then(lf: Law, lg: Law) -> Law:
-    """The law of f then g, from f's law and g's law at (or above) f's value."""
-    if lf is None or lf is _TOP_LAW:
-        return lf
-    if lg is None or lg is _TOP_LAW:
-        return lg
-    return lg[0], lf[1] * lg[1]
-
-
-def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
-    """Diagrammatic composition: first f, then g."""
-    if f.is_const_bottom or g.is_const_bottom:
-        return CONST_BOTTOM
-
-    def laws_at(q: Rational) -> tuple:
-        lf, lf_up = f.laws_at(q)
-        if lf is None or lf is _TOP_LAW:  # then lf_up is bottom or top too
-            return lf, lf_up
-        lg, lg_up = g.laws_at(lf[0])  # f(q) is also f's value just above q
-        here = _then(lf, lg)
-        return here, here if lf_up is lf and lg_up is lg else _then(lf_up, lg_up)
-
-    levels = [(_ZERO, y, _ZERO, None) for y in g.structure_points()]
-    return _sweep(f.structure_points() + _meets(f.lines(), levels), laws_at)
-
-
-def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
-    """Pointwise supremum."""
-    if f.is_const_bottom:
-        return g
-    if g.is_const_bottom:
-        return f
-    cands = f.structure_points() + g.structure_points() + _meets(f.lines(), g.lines())
-
-    def higher(lf: Law, lg: Law, q: Optional[Rational]) -> Law:
-        """The larger law; ``q`` is set for the reading just above q."""
-        if lf is _TOP_LAW or lg is _TOP_LAW:
-            return _TOP_LAW
-        if lf is None or lg is None:
-            return lg if lf is None else lf
-        hi, lo = (lf, lg) if lf >= lg else (lg, lf)
-        if q is not None and lo[1] > hi[1]:
-            # the lower law overtakes at x, so the next grid point must come
-            # by x: x is a crossing, or one of the two pieces ends first
-            x = q + div(hi[0] - lo[0], lo[1] - hi[1])
-            assert any(q < c <= x for c in cands), "undetected crossing in join"
-        return hi
-
-    def laws_at(q: Rational) -> tuple:
-        (lf, lf_up), (lg, lg_up) = f.laws_at(q), g.laws_at(q)
-        up = higher(lf_up, lg_up, q)
-        return up if lf is lf_up and lg is lg_up else higher(lf, lg, None), up
-
-    return _sweep(cands, laws_at)
-
-
-# ----------------------------------------------------------------------
-# Thresholds shared by star, omega and the semimodule action
 
 
 def threshold(

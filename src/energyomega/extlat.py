@@ -173,7 +173,7 @@ class Frozen:
 
 def as_fraction(q: RationalLike) -> Rational:
     """Coerce ints, Fractions and "p/q" strings to an exact rational: an
-    int when integral, else a Fraction.
+    int when integral, else a Fraction, a ``Ratio`` from a plain "p/q".
 
     A bool is an int to Python but a JSON ``true``/``false`` here, so it
     is rejected.
@@ -181,6 +181,11 @@ def as_fraction(q: RationalLike) -> Rational:
     if isinstance(q, int) and not isinstance(q, bool):
         return int(q)
     if isinstance(q, str):
+        # the common ASCII "p/q" without Fraction's regular expression; any
+        # other text, a zero denominator too, takes the checks below
+        num, slash, den = q.partition("/")
+        if slash and q.isascii() and num.isdigit() and den.strip("0").isdigit() and len(q) <= MAX_LITERAL_CHARS:
+            return ratio(int(num), int(den))
         exp = _EXPONENT.search(q)
         if len(q) > MAX_LITERAL_CHARS or exp and abs(int(exp[1])) > MAX_LITERAL_EXPONENT:
             raise ParseError(

@@ -19,7 +19,7 @@ from energyomega import energyauto as ea
 from energyomega import energyfn, laws, omegaval
 from energyomega.energyfn import EnergyFunction, Piece, compose, join, shift, star
 from energyomega.errors import ParseError
-from energyomega.extlat import ExtValue, as_fraction, div, finite
+from energyomega.extlat import ExtValue, as_fraction, div, finite, ratio
 from energyomega.omegaval import ThresholdPredicate
 
 from conftest import fn_pieces
@@ -85,7 +85,7 @@ def test_integral_results_of_fraction_arithmetic_are_ints():
 
 def test_as_fraction_keeps_integers_as_ints():
     for q, want in [(3, 3), ("3", 3), ("6/2", 3), ("1e2", 100), ("-2.0", -2),
-                    (Fraction(4, 2), 2), ("3/2", Fraction(3, 2)), ("0.25", Fraction(1, 4))]:
+                    (Fraction(4, 2), 2), ("3/2", ratio(3, 2)), ("0.25", Fraction(1, 4))]:
         got = as_fraction(q)
         assert got == want and type(got) is type(want), (q, got)
     for bad in (True, 0.5, 1.0, None):

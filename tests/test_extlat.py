@@ -8,8 +8,11 @@ import pytest
 from energyomega.errors import ParseError
 from energyomega.extlat import (
     BOTTOM,
+    MAX_LITERAL_CHARS,
+    MAX_LITERAL_EXPONENT,
     TOP,
     ExtValue,
+    Ratio,
     as_fraction,
     finite,
     format_ext,
@@ -98,6 +101,37 @@ def test_oversized_literals_rejected():
             as_fraction(text)
     assert as_fraction("1e256") == Fraction(10) ** 256
     assert as_fraction("25e-2") == Fraction(1, 4)
+
+
+def test_literals_parse_as_fraction_does():
+    # "p/q" has a fast path; every literal, on it or not, gives Fraction's
+    # value, an int when integral, and every rejected one the same message
+    corpus = [
+        "3/2", "6/2", "0/5", "0/1", "007/3", "12/0004", "1/1", "5/50", "99/100",
+        "9" * 120 + "/" + "7" * 120, "9" * 127 + "/" + "7" * 128,
+        "1/0", "0/0", "1/00", "-3/2", "+3/2", "3/-2", " 3/2", "3/2 ", "3 / 2", "3/2\n",
+        "1_000/3", "1/2_0", "1/2/3", "/2", "2/", "/", "", "1.5/2", "1/2.5", "1e2/3",
+        "\u0663/\u0662", "3/\u0662", "\u00b2/3", "\uff13/2", "0x10/3", "1/2e",
+        "1.5", "-0.25", "1e3", "25e-2", ".5", "1.", "inf", "nan", "-1", "+7", "3",
+    ]
+    for text in corpus:
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ParseError) as caught:
+                as_fraction(text)
+            assert str(caught.value) == f"bad rational literal {text!r}", text
+            continue
+        got = as_fraction(text)
+        assert got == want and str(got) == str(want), text
+        assert (type(got) is int) == (want.denominator == 1), text
+    assert type(as_fraction("3/2")) is Ratio
+    for text in ("7/" + "9" * 300, "1e" + str(MAX_LITERAL_EXPONENT + 1)):
+        with pytest.raises(ParseError) as caught:
+            as_fraction(text)
+        assert str(caught.value) == (
+            f"rational literal {text[:32]!r} is over {MAX_LITERAL_CHARS} characters "
+            f"or its exponent over {MAX_LITERAL_EXPONENT}")
 
 
 def test_booleans_rejected():

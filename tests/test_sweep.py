@@ -5,6 +5,8 @@ it at the midpoint of each gap.  On random canonical functions every
 operation built on the sweep must give the same function or threshold.
 Breakpoints come at scales 1, 10^3 and 10^6, with top regions, one-point
 last pieces, bottom-to-top steps and slopes as close to 1 as 1001/1000.
+Compose and join are also checked on functions of 20-60 pieces, and
+counted on functions of up to 1,000.
 """
 
 import random
@@ -12,10 +14,11 @@ from fractions import Fraction
 
 from hypothesis import given, seed, settings, strategies as st
 
-from energyomega import energyfn, laws, omegaval
+from energyomega import energyauto, energyfn, laws, omegaval
 from energyomega.extlat import finite
 from energyomega.omegaval import NEVER, ThresholdPredicate
 
+import manypieces
 import sweepref
 
 SCALES = (1, 10**3, 10**6)
@@ -150,3 +153,66 @@ def test_every_crossing_is_a_candidate():
                 changes += _side(f, line, lo + third) != _side(f, line, lo + 2 * third)
     assert gaps > 10000
     assert changes == 0
+
+
+def _many_piece_operand(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return manypieces.step(rng)
+    if roll < 0.15:
+        return energyfn.identity()
+    return manypieces.zigzag(rng, rng.randint(20, 60))
+
+
+def test_compose_and_join_match_midpoint_sweep_on_many_pieces():
+    # 20-60 pieces that cross each other often, with upward jumps, top
+    # regions with either flag, steps and Ratio fields: the walks' pointers
+    # move across many pieces, which the 1-4 piece draws above never need
+    rng = random.Random(3301)
+    pieces = 0
+    for _ in range(40):
+        f, g = _many_piece_operand(rng), _many_piece_operand(rng)
+        pieces = max(pieces, len(f.pieces))
+        for a, b in ((f, g), (g, f)):
+            assert energyfn.compose(a, b) == sweepref.compose(a, b), (a, b)
+            assert energyfn.join(a, b) == sweepref.join(a, b), (a, b)
+    assert pieces >= 40
+
+
+def test_compose_and_join_read_each_point_once(monkeypatch):
+    # linear work, counted: each walk hands the builder at most one reading
+    # per structure point of either operand and per crossing, it pairs no
+    # lines and looks no piece up by bisection
+    readings = []
+    build = energyfn._sweep
+
+    def counting(out):
+        readings.append(len(out))
+        return build(out)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compose and join search nothing")
+
+    monkeypatch.setattr(energyfn, "_sweep", counting)
+    monkeypatch.setattr(energyfn, "_meets", forbidden)
+    monkeypatch.setattr(energyfn, "bisect_right", forbidden)
+    rng = random.Random(33)
+    for k in (250, 500, 1000):
+        f, g = manypieces.zigzag(rng, k), manypieces.zigzag(rng, k)
+        size = len(f.pieces) + len(g.pieces)
+        assert size > 1.8 * k
+        energyfn.compose(f, g)
+        energyfn.join(f, g)
+        compose_reads, join_reads = readings[-2:]
+        assert compose_reads <= size + 2
+        assert join_reads <= 2 * (size + 2)
+        # the operands cross, so the join also reads between their points
+        assert join_reads > len(set(f.structure_points() + g.structure_points()))
+
+
+def test_many_piece_automaton_answers():
+    aut = energyauto.from_json(manypieces.automaton(4000))
+    reach = energyauto.reachable(aut, finite(5))
+    assert reach.answer and reach.value.is_top
+    assert energyauto.buchi(aut, finite(5)).value == ThresholdPredicate(3, False)
+    assert not energyauto.buchi(aut, finite(3)).answer
