@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, NamedTuple, Optional, Tuple
 
 from . import energyfn, matrixkleene as mk, omegaval
 from .energyfn import EnergyFunction
@@ -28,8 +27,7 @@ from .omegaval import ThresholdPredicate
 MAX_STATES = 1024
 
 
-@dataclass(frozen=True)
-class EnergyAutomaton:
+class EnergyAutomaton(NamedTuple):
     states: tuple  # state names, order fixes matrix indices
     initial: frozenset
     accepting: frozenset
@@ -39,17 +37,18 @@ class EnergyAutomaton:
     def dim(self) -> int:
         return len(self.states)
 
-    @functools.cached_property
+    @property
     def edges(self) -> tuple:
-        """The live matrix entries (i, j, fn), row by row; every oracle sweep reads them."""
+        """The live matrix entries (i, j, fn), row by row, built on each read.
+        A None bottom marks the constant-bottom function: the field read
+        costs a third of the property call over the n^2 entries."""
         return tuple(
             (i, j, fn) for i, row in enumerate(self.matrix.rows) for j, fn in enumerate(row)
-            if not fn.is_const_bottom
+            if fn.bottom is not None
         )
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     answer: bool
     value: object  # reach: ExtValue; buchi: ThresholdPredicate; oracle_buchi: accepting reach energy
     witness: Optional[tuple] = None  # path, or (prefix, cycle) for Buchi
@@ -140,28 +139,29 @@ def buchi(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResu
 # Relaxation oracles
 
 
-def _stabilize(aut: EnergyAutomaton, energy: Dict[int, ExtValue]) -> Tuple[dict, dict]:
+def _stabilize(aut: EnergyAutomaton, edges: tuple, energy: Dict[int, ExtValue]) -> Tuple[dict, dict]:
     """Best energy per state over all walks from ``energy``, in place.
 
-    Bellman-Ford sweeps over the live edges (n = ``aut.dim``).  After
-    n - 1 sweeps each state holds at least its best energy over simple
-    paths.  Edge slopes are >= 1, so the gain h(x) - x of a walk is
-    nondecreasing in x: a cycle that gains where it is entered can be
-    pumped to top, and one that does not can be cut out without lowering
-    the end energy.  So a state that still improves in sweep n + 1 has
-    supremum top; it is set to top.  Live edges keep top, so within
-    n - 1 more sweeps top reaches every state a promoted one reaches.
-    Nothing else changes after sweep n + 1, as no state that reaches it
-    improved in that sweep.  So the loop ends within 2n + 1 sweeps, on a
-    sweep that changes nothing: a fixed point above the seeds made of
-    walk values and justified tops, which is the supremum.  Also returns,
-    per live state, the walk of relaxations that last improved it,
-    reversed as a linked list (state, rest) to a seed.
+    Bellman-Ford sweeps over the live ``edges`` (n = ``aut.dim``), which
+    the oracle reads once per call from ``aut.edges``.  After n - 1
+    sweeps each state holds at least its best energy over simple paths.
+    Edge slopes are >= 1, so the gain h(x) - x of a walk is nondecreasing
+    in x: a cycle that gains where it is entered can be pumped to top,
+    and one that does not can be cut out without lowering the end
+    energy.  So a state that still improves in sweep n + 1 has supremum
+    top; it is set to top.  Live edges keep top, so within n - 1 more
+    sweeps top reaches every state a promoted one reaches.  Nothing else
+    changes after sweep n + 1, as no state that reaches it improved in
+    that sweep.  So the loop ends within 2n + 1 sweeps, on a sweep that
+    changes nothing: a fixed point above the seeds made of walk values
+    and justified tops, which is the supremum.  Also returns, per live
+    state, the walk of relaxations that last improved it, reversed as a
+    linked list (state, rest) to a seed.
     """
     walk = {i: (i, None) for i, e in energy.items() if not e.is_bottom}
     for sweep in itertools.count(1):
         improved = set()
-        for src, dst, fn in aut.edges:
+        for src, dst, fn in edges:
             out = fn.eval(energy[src])
             if out > energy[dst]:
                 walk[dst] = (dst, walk[src])
@@ -173,13 +173,14 @@ def _stabilize(aut: EnergyAutomaton, energy: Dict[int, ExtValue]) -> Tuple[dict,
             energy.update(dict.fromkeys(improved, TOP))
 
 
-def _max_energies(aut: EnergyAutomaton, x0: ExtValue) -> Tuple[dict, dict]:
+def _max_energies(aut: EnergyAutomaton, edges: tuple, x0: ExtValue) -> Tuple[dict, dict]:
     seeds = {i: x0 if name in aut.initial else BOTTOM for i, name in enumerate(aut.states)}
-    return _stabilize(aut, seeds)
+    return _stabilize(aut, edges, seeds)
 
 
-def _top_probe(aut: EnergyAutomaton) -> Rational:
-    """An energy z* at which every state that sustains at all sustains.
+def _top_probe(aut: EnergyAutomaton, edges: tuple) -> Rational:
+    """An energy z* at which every state that sustains at all sustains,
+    from the live ``edges``.
 
     z* = 2 n Z kappa, where Z is 1 plus the largest structure point of any
     edge, and kappa = m / (m - 1) for the least last-piece slope m > 1 of
@@ -212,7 +213,7 @@ def _top_probe(aut: EnergyAutomaton) -> Rational:
 
     Each bound is at most z*.
     """
-    live = [f for _, _, f in aut.edges]
+    live = [f for _, _, f in edges]
     big_z = 1 + max((f.structure_points()[-1] for f in live), default=0)
     m = min(
         (f.pieces[-1].slope for f in live if f.top is None and f.pieces[-1].slope > 1),
@@ -241,7 +242,7 @@ def _witness_path(aut: EnergyAutomaton, walk: Dict[int, tuple], target: int) -> 
 
 
 def oracle_reach(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
-    energy, walk = _max_energies(aut, x0)
+    energy, walk = _max_energies(aut, aut.edges, x0)
     best, witness = BOTTOM, None
     for i, name in enumerate(aut.states):
         if name in aut.accepting and energy[i] > best:
@@ -263,13 +264,14 @@ def oracle_buchi(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
     The witness is the walk that reached s and, as the cycle, the return
     walk that last improved s in that re-stabilization.
     """
-    energy, walk = _max_energies(aut, x0)
-    top_probe = finite(_top_probe(aut))
+    edges = aut.edges
+    energy, walk = _max_energies(aut, edges, x0)
+    top_probe = finite(_top_probe(aut, edges))
     for i, name in enumerate(aut.states):
         if name not in aut.accepting or energy[i].is_bottom:
             continue
         z = top_probe if energy[i].is_top else energy[i]
-        back, back_walk = _stabilize(aut, {j: f.eval(z) for j, f in enumerate(aut.matrix.rows[i])})
+        back, back_walk = _stabilize(aut, edges, {j: f.eval(z) for j, f in enumerate(aut.matrix.rows[i])})
         if back[i] >= z:
             prefix = _witness_path(aut, walk, i)
             cycle = (aut.states[i],) + _witness_path(aut, back_walk, i)[:-1]

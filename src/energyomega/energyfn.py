@@ -11,35 +11,31 @@ Functions are right-continuous at interior breakpoints: the value at a
 breakpoint always belongs to the segment starting there.  This class is
 closed under all operations implemented here.
 
-Every operation reads two laws (bottom, top, or a value with a slope)
-at each abscissa where its result can change: the law at it, and the law
-just above it, which holds up to the next such point.  Both come from one
-lookup, ``EnergyFunction.laws_at``: by right-continuity they share the
-value f(lo) and differ only at the bottom and top boundaries.
-``compose`` and ``join`` find their points by one forward walk over the
-sorted pieces, linear in the piece count: as f rises it passes g's
+``compose`` and ``join`` read two laws (bottom, top, or a value with a
+slope) at each abscissa where their result can change: the law at it,
+and the law just above it, which holds up to the next such point.  Both
+come from one lookup, ``EnergyFunction.laws_at``: by right-continuity
+they share the value f(lo) and differ only at the bottom and top
+boundaries.  Both operations find their points by one forward walk over
+the sorted pieces, linear in the piece count: as f rises it passes g's
 levels in order, and two merged lists of structure points leave gaps in
 which two lines cross at most once.  ``_sweep`` builds a function from
 their readings.  ``threshold`` (the action, star and omega) meets one
-line, y = t or y = x: it sorts f's structure points with the points
-where a piece of f meets the line, all found by ``_meets``, and stops at
-the first reading on or above it.  The ``EnergyFunction`` constructor
+line, y = t or y = x, by one forward walk over f's pieces that stops at
+the first piece reaching it.  The ``EnergyFunction`` constructor
 gives every function its normal form.  Just above a point lo, a law
 (v, s) takes the values v + s*e for small e > 0, so:
 
 - a compose reads g just above f(lo), since f has slope >= 1, so one
   lookup of g at f(lo) serves both readings;
-- in a join, of two equal values the one with the larger slope wins;
-- against a line, likewise: f reaches y = t just above lo iff
-  f(lo) >= t, and gains (f(x) > x) iff f(lo) > lo, or f(lo) = lo with
-  slope > 1.
+- in a join, of two equal values the one with the larger slope wins.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     MalformedPieces,
@@ -152,13 +148,6 @@ class EnergyFunction(Frozen):
         if self.top is not None and self.top != pts[-1]:
             pts.append(self.top)
         return pts
-
-    def lines(self) -> list:
-        """Each piece as the line (slope, value at 0, start, end) over its
-        segment, with end None when unbounded."""
-        ends = [p.start for p in self.pieces[1:]] + [self.top]
-        return [(p.slope, p.intercept - p.slope * p.start, p.start, e)
-                for p, e in zip(self.pieces, ends)]
 
     def __str__(self) -> str:
         if self.bottom is None:
@@ -301,6 +290,8 @@ def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
     """
     if f.is_const_bottom or g.is_const_bottom:
         return CONST_BOTTOM
+    if not f.pieces:  # a step: bottom, then top, which a live g keeps
+        return f
     pts, n = f.structure_points(), len(f.pieces)
     levels, m = g.structure_points(), len(g.pieces)
     j, out = 0, []
@@ -375,64 +366,30 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
 # Thresholds shared by star, omega and the semimodule action
 
 
-def _cells(cands: Iterable[Rational], laws_at) -> Iterator[tuple]:
-    """Walk the grid of candidate abscissas (those >= 0, plus 0) upwards.
-
-    For each grid point lo, ``laws_at(lo)`` gives the law at lo and the law
-    just above lo, which holds up to the next point: yield ``(lo, False,
-    law at lo)``, then ``(lo, True, law above lo)``.  Duplicates are dropped
-    by comparing sorted neighbours, since hashing a Fraction costs more.
-    Lazy, so a search stops at its first hit.
-    """
-    xs = [_ZERO]
-    xs += sorted(q for q in cands if q > 0)
-    for i, lo in enumerate(xs):
-        if i and lo == xs[i - 1]:
-            continue
-        here, above = laws_at(lo)
-        yield lo, False, here
-        yield lo, True, above
-
-
-def _meets(lines: Sequence[tuple], others: Sequence[tuple]) -> list:
-    """Abscissas where a line of ``lines`` meets one of ``others`` on their
-    common segment; lines are (slope, value at 0, start, end or None)."""
-    out = []
-    for s1, k1, a1, e1 in lines:
-        for s2, k2, a2, e2 in others:
-            lo = a1 if a1 > a2 else a2
-            hi = e1 if e2 is None else e2 if e1 is None else min(e1, e2)
-            if s1 == s2 or hi is not None and lo > hi:
-                continue
-            x = div(k2 - k1, s1 - s2)
-            if x >= lo and (hi is None or x <= hi):
-                out.append(x)
-    return out
-
-
 def threshold(
     f: EnergyFunction, slope: Rational, target: Rational, strict: bool
 ) -> Optional[tuple]:
     """Boundary (x, inclusive) of {finite x : f(x) >= slope*x + target}, or
     > when strict; None when the set is empty.
 
-    For slope <= 1 the set is upward closed, as f has slopes >= 1, and it
-    changes only where a piece of f meets the line, so the first grid
-    reading in it gives the boundary.  Just above a point the line grows
-    at ``slope`` and f at its own slope, so of two equal values the
-    faster wins.
+    For slope <= 1, f minus the line is nondecreasing, as f has slopes
+    >= 1 and jumps only upwards, so the set is upward closed.  One walk
+    up f's pieces stops at the first that reaches the line: at its start,
+    or where its larger slope s carries it across, at start + gap/(s -
+    slope).  Past the pieces lies the top region, or nothing.
     """
-    line = [(slope, target, _ZERO, None)]
-    for lo, above, law in _cells(f.structure_points() + _meets(f.lines(), line), f.laws_at):
-        if law is None:
-            continue
-        if law is not _TOP_LAW:
-            y = slope * lo + target
-            got, want = (law, (y, slope)) if above else (law[0], y)
-            if not (got > want if strict else got >= want):
-                continue
-        return lo, not above
-    return None
+    pieces, top, n = f.pieces, f.top, len(f.pieces)
+    for i, (a, c, s) in enumerate(pieces):
+        gap = slope * a + target - c
+        if gap < 0 or gap == 0 and not strict:
+            return a, True
+        if s > slope:
+            x = a + div(gap, s - slope)
+            end = pieces[i + 1].start if i + 1 < n else top
+            # a non-inclusive top boundary still belongs to the last piece
+            if end is None or x < end or x == end and i + 1 == n and not f.top_at_boundary:
+                return x, not strict
+    return None if top is None else (top, f.top_at_boundary)
 
 
 def star(f: EnergyFunction) -> EnergyFunction:

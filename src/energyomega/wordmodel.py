@@ -18,8 +18,7 @@ with S_u and good(v) read once per distinct profile the words reach.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import (
     AlphabetMismatch,
@@ -33,8 +32,7 @@ MAX_EQUALITY_PAIRS = 1024
 MAX_LASSOS = 2_000_000
 
 
-@dataclass(frozen=True)
-class RegularLang:
+class RegularLang(NamedTuple):
     """An epsilon-free NFA; states are 0 .. n-1."""
 
     alphabet: frozenset
@@ -44,15 +42,13 @@ class RegularLang:
     final: frozenset
 
 
-@dataclass(frozen=True)
-class LassoLang:
+class LassoLang(NamedTuple):
     """A finite union of U . V^omega components; every V rejects epsilon."""
 
     pairs: tuple  # tuple of (RegularLang, RegularLang)
 
 
-@dataclass(frozen=True)
-class BoundedVerdict:
+class BoundedVerdict(NamedTuple):
     equal: bool
     bound: int
     counterexample: Optional[Tuple[str, str]] = None

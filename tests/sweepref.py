@@ -2,14 +2,16 @@
 
 This sweep reads each function's law at every candidate abscissa and at
 the midpoint of every gap between two (one past the last), and shifts
-the midpoint reading back to the gap's left end.  ``energyfn`` reads the
-law just above each candidate instead, so the two share no reading
-rule; the differential tests check that every operation gives the same
-canonical function or threshold.
+the midpoint reading back to the gap's left end.  Its candidates include
+every point where two lines meet, found by ``_meets`` by pairing all
+``lines``.  ``energyfn`` reads the law just above each candidate instead,
+and walks pieces without pairing lines, so the two share no reading rule
+and no code beyond the function type; the differential tests check that
+every operation gives the same canonical function or threshold.
 """
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from energyomega.energyfn import (
     _TOP_LAW,
@@ -18,11 +20,35 @@ from energyomega.energyfn import (
     EnergyFunction,
     Law,
     Piece,
-    _meets,
     identity,
     top_from,
 )
+from energyomega.extlat import div
 from energyomega.omegaval import NEVER, ThresholdPredicate
+
+
+def lines(f: EnergyFunction) -> list:
+    """Each piece as the line (slope, value at 0, start, end) over its
+    segment, with end None when unbounded."""
+    ends = [p.start for p in f.pieces[1:]] + [f.top]
+    return [(p.slope, p.intercept - p.slope * p.start, p.start, e)
+            for p, e in zip(f.pieces, ends)]
+
+
+def _meets(lines: Sequence[tuple], others: Sequence[tuple]) -> list:
+    """Abscissas where a line of ``lines`` meets one of ``others`` on their
+    common segment; lines are (slope, value at 0, start, end or None)."""
+    out = []
+    for s1, k1, a1, e1 in lines:
+        for s2, k2, a2, e2 in others:
+            lo = a1 if a1 > a2 else a2
+            hi = e1 if e2 is None else e2 if e1 is None else min(e1, e2)
+            if s1 == s2 or hi is not None and lo > hi:
+                continue
+            x = div(k2 - k1, s1 - s2)
+            if x >= lo and (hi is None or x <= hi):
+                out.append(x)
+    return out
 
 
 def _cells(cands: Iterable[Fraction], at) -> Iterator[tuple]:
@@ -95,7 +121,7 @@ def compose(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         return lg[0], lf[1] * lg[1]
 
     levels = [(_ZERO, y, _ZERO, None) for y in g.structure_points()]
-    return _sweep(f.structure_points() + _meets(f.lines(), levels), at)
+    return _sweep(f.structure_points() + _meets(lines(f), levels), at)
 
 
 def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
@@ -104,7 +130,7 @@ def join(f: EnergyFunction, g: EnergyFunction) -> EnergyFunction:
         return g
     if g.is_const_bottom:
         return f
-    cands = f.structure_points() + g.structure_points() + _meets(f.lines(), g.lines())
+    cands = f.structure_points() + g.structure_points() + _meets(lines(f), lines(g))
 
     def at(q: Fraction) -> Law:
         lf, lg = f.laws_at(q)[0], g.laws_at(q)[0]
@@ -134,7 +160,7 @@ def threshold(
         return law[0] > y if strict else law[0] >= y
 
     line = [(slope, target, _ZERO, None)]
-    return _first(f.structure_points() + _meets(f.lines(), line), hit)
+    return _first(f.structure_points() + _meets(lines(f), line), hit)
 
 
 def star(f: EnergyFunction) -> EnergyFunction:

@@ -344,7 +344,8 @@ def test_word_path_leaves_the_energy_layers_unloaded():
         "for argv in runs + [['laws', '--instance', 'word', '--cases', '1']]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "energy = ['energyomega.' + m for m in ('energyfn', 'extlat', 'omegaval', 'energyauto')]\n"
+        "energy = ['energyomega.' + m for m in ('energyfn', 'extlat', 'omegaval', 'energyauto',\n"
+        "                                      'energylaws')]\n"
         "print(sorted(set(energy + ['fractions']).intersection(sys.modules)))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['laws', '--instance', 'energy', '--cases', '1'])\n"
@@ -354,6 +355,32 @@ def test_word_path_leaves_the_energy_layers_unloaded():
         [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines() == ["[]", "0 True"]
+
+
+@pytest.mark.parametrize("argv, loads_energylaws", [
+    (["reach", PUMP, "--energy", "0", "--verify"], False),
+    (["buchi", PUMP, "--energy", "0", "--verify"], False),
+    (["wordcheck", "--identity", "group-C2", "--cases", "1"], False),
+    (["laws", "--instance", "word", "--cases", "1"], False),
+    (["laws", "--instance", "energy", "--cases", "1"], True),
+])
+def test_commands_define_one_dataclass_and_load_energylaws_only_for_energy_laws(argv, loads_energylaws):
+    """StarAlgebra is the one dataclass in any loaded package module, and
+    only the energy law suite loads the energy law checkers."""
+    code = (
+        "import contextlib, dataclasses, io, sys\n"
+        "import energyomega.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "modules = [m for name, m in list(sys.modules.items()) if name.startswith('energyomega')]\n"
+        "records = {c for m in modules for c in vars(m).values()\n"
+        "           if isinstance(c, type) and dataclasses.is_dataclass(c)}\n"
+        "print(sorted(c.__qualname__ for c in records), 'energyomega.energylaws' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["['StarAlgebra']", str(loads_energylaws)]
 
 
 def test_help_text(monkeypatch, capsys):

@@ -292,7 +292,7 @@ def test_buchi_witness_cycle_sustains_on_criterion_4_corpus():
             loop = cycle + cycle[:1]
             assert cycle[0] == prefix[-1]
             assert all(not _edge(aut, a, b).is_const_bottom for a, b in zip(loop, loop[1:]))
-            z = finite(ea._top_probe(aut)) if res.value.is_top else res.value
+            z = finite(ea._top_probe(aut, aut.edges)) if res.value.is_top else res.value
             assert _replay(aut, loop, z) >= z, (str(aut), x, res.witness)
             yes += 1
     assert yes > 1500
@@ -496,7 +496,7 @@ def test_truncated_solve_matches_full_vector():
         picks = [set(), *({s} for s in aut.states), set(aut.states)]
         picks.append(set(rng.sample(aut.states, rng.randint(1, n))))
         for initial in picks:
-            one = dataclasses.replace(aut, initial=frozenset(initial))
+            one = aut._replace(initial=frozenset(initial))
             idx = [i for i, s in enumerate(aut.states) if s in initial]
             want_reach = functools.reduce(energyfn.join, [column[i] for i in idx], CONST_BOTTOM)
             want_buchi = functools.reduce(omegaval.vjoin, [omega[i] for i in idx], NEVER)
@@ -527,7 +527,7 @@ def test_buchi_solve_scales_like_reach():
             return energyfn.compose(f, g)
 
         alg = dataclasses.replace(mk.ENERGY_ALGEBRA, mul=mul)
-        return dataclasses.replace(aut, matrix=mk.matrix(alg, aut.matrix.rows))
+        return aut._replace(matrix=mk.matrix(alg, aut.matrix.rows))
 
     assert ea.reach_value(counted("reach")) == ea.reach_value(aut)
     assert ea.buchi_value(counted("buchi")) == ea.buchi_value(aut)

@@ -115,11 +115,11 @@ def test_top_probe_is_exact_for_an_integer_slope():
     # least last-piece slope 2 gives kappa = 2 / (2 - 1); Z = 1 + 3
     doubling = fn_pieces(0, [(0, 0, 1), (3, 3, 2)])
     aut = ea.automaton(["a", "b"], ["a"], ["a"], [("a", "b", doubling), ("b", "a", shift(-1))])
-    z = ea._top_probe(aut)
+    z = ea._top_probe(aut, aut.edges)
     assert z == 2 * 2 * 4 * 2 and type(z) is int
     # slope 3/2 gives kappa = 3, a Fraction quotient that is integral
     aut = ea.automaton(["a"], ["a"], ["a"], [("a", "a", fn_pieces(0, [(0, 0, Fraction(3, 2))]))])
-    z = ea._top_probe(aut)
+    z = ea._top_probe(aut, aut.edges)
     assert z == 2 * 1 * 1 * 3 and type(z) is int
 
 

@@ -281,7 +281,7 @@ def test_an_equal_copy_of_zero_changes_no_answer():
         aut = energyauto.from_json(build(16, random.Random(5)))
         rows = [[copy.deepcopy(x) if x is CONST_BOTTOM else x for x in row]
                 for row in aut.matrix.rows]
-        copied = dataclasses.replace(aut, matrix=mk.matrix(ALG, rows))
+        copied = aut._replace(matrix=mk.matrix(ALG, rows))
         assert any(x == CONST_BOTTOM and x is not CONST_BOTTOM for row in rows for x in row)
         for value in (energyauto.reach_value, energyauto.buchi_value):
             assert value(copied) == value(aut)

@@ -50,7 +50,7 @@ def counted(aut, counts):
         return count
 
     wrapped = dataclasses.replace(alg, **{op: counter(op) for op in COUNTED})
-    return dataclasses.replace(aut, matrix=mk.matrix(wrapped, aut.matrix.rows))
+    return aut._replace(matrix=mk.matrix(wrapped, aut.matrix.rows))
 
 
 def measure():

@@ -117,7 +117,7 @@ def _recording(aut, seen):
 
     ops = ("mul", "join", "star", "omega", "act", "vjoin")
     wrapped = dataclasses.replace(alg, **{name: recorder(name) for name in ops})
-    return dataclasses.replace(aut, matrix=mk.matrix(wrapped, aut.matrix.rows))
+    return aut._replace(matrix=mk.matrix(wrapped, aut.matrix.rows))
 
 
 def test_the_solve_sees_only_ints_and_ratios():

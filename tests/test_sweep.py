@@ -5,11 +5,13 @@ it at the midpoint of each gap.  On random canonical functions every
 operation built on the sweep must give the same function or threshold.
 Breakpoints come at scales 1, 10^3 and 10^6, with top regions, one-point
 last pieces, bottom-to-top steps and slopes as close to 1 as 1001/1000.
-Compose and join are also checked on functions of 20-60 pieces, and
-counted on functions of up to 1,000.
+Compose, join and threshold are also checked on functions of 20-60
+pieces; the compose and join readings are counted on functions of up to
+1,000, and the pieces threshold reads before its hit on the 20-60.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from hypothesis import given, seed, settings, strategies as st
@@ -129,20 +131,20 @@ def _side(f, line, x):
 
 
 def test_every_crossing_is_a_candidate():
-    # sweepref takes its candidates from energyfn._meets too, so only this
+    # the reference takes its candidates from sweepref._meets, so only this
     # test sees a dropped crossing: between two neighbouring candidates f
     # minus the line keeps one sign, read exactly at the two third-points
     rng = random.Random(1501)
     gaps = changes = 0
     for _ in range(1000):
         f, g = laws.random_energy_function(rng), laws.random_energy_function(rng)
-        lines = g.lines() + [
+        lines = sweepref.lines(g) + [
             (rng.choice(LINE_SLOPES), Fraction(rng.randint(-8, 16), rng.randint(1, 4)), 0, None)
             for _ in range(3)
         ]
         for line in lines:
             _slope, _at_zero, start, end = line
-            cands = {0, start, *f.structure_points(), *energyfn._meets(f.lines(), [line])}
+            cands = {0, start, *f.structure_points(), *sweepref._meets(sweepref.lines(f), [line])}
             if end is not None:
                 cands.add(end)
             xs = sorted(x for x in cands if start <= x and (end is None or x <= end))
@@ -194,7 +196,7 @@ def test_compose_and_join_read_each_point_once(monkeypatch):
         raise AssertionError("compose and join search nothing")
 
     monkeypatch.setattr(energyfn, "_sweep", counting)
-    monkeypatch.setattr(energyfn, "_meets", forbidden)
+    monkeypatch.setattr(sweepref, "_meets", forbidden)
     monkeypatch.setattr(energyfn, "bisect_right", forbidden)
     rng = random.Random(33)
     for k in (250, 500, 1000):
@@ -208,6 +210,48 @@ def test_compose_and_join_read_each_point_once(monkeypatch):
         assert join_reads <= 2 * (size + 2)
         # the operands cross, so the join also reads between their points
         assert join_reads > len(set(f.structure_points() + g.structure_points()))
+
+
+class _Reads(tuple):
+    """A function's pieces that record the index of every piece read."""
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _targets(rng, f, slope):
+    """Lines below f's first piece, through or between its pieces, and
+    above its last piece's start, as y = slope*x + target."""
+    gaps = [c - slope * a for a, c, _s in f.pieces] or [f.bottom * (1 - slope)]
+    inside = [rng.choice(gaps) + rng.choice((0, 0, manypieces.HALF, -manypieces.HALF)) for _ in range(6)]
+    return [min(gaps) - 1, *inside, max(gaps) + rng.choice((1, 7, 100))]
+
+
+def test_threshold_walk_matches_midpoint_sweep_and_stops_at_its_hit():
+    # slopes 0 (the action) and 1 (star, omega), both strict flags, lines
+    # below, across and above many-piece functions: the walk returns the
+    # reference's boundary, and a hit in piece i reads pieces 0 .. i + 1 only
+    rng = random.Random(3401)
+    hits = set()
+    for _ in range(60):
+        f = _many_piece_operand(rng)
+        for slope in (0, 1):
+            for target in _targets(rng, f, slope):
+                for strict in (False, True):
+                    want = sweepref.threshold(f, slope, target, strict)
+                    counted, reads = energyfn.EnergyFunction(*f._fields(f)), _Reads(f.pieces)
+                    reads.read = set()
+                    object.__setattr__(counted, "pieces", reads)
+                    assert energyfn.threshold(counted, slope, target, strict) == want, (f, slope, target)
+                    starts = [p.start for p in f.pieces]
+                    i = len(starts) - 1 if want is None else bisect_right(starts, want[0]) - 1
+                    assert reads.read <= set(range(i + 2))
+                    hits.add((want is None, 0 < i < len(starts) - 1))
+    assert hits >= {(False, True), (False, False), (True, False)}
 
 
 def test_many_piece_automaton_answers():

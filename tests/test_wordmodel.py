@@ -1,6 +1,5 @@
 """Tests for the regular / lasso word models."""
 
-import dataclasses
 import random
 import time
 from itertools import product
@@ -414,7 +413,7 @@ def _random_lasso(rng, sigma):
 
 def _over(w, sigma):
     """The same components read over a larger alphabet."""
-    grow = lambda lang: dataclasses.replace(lang, alphabet=frozenset(sigma))
+    grow = lambda lang: lang._replace(alphabet=frozenset(sigma))
     return wm.LassoLang(tuple((grow(u), grow(v)) for u, v in w.pairs))
 
 
