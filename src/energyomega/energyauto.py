@@ -139,11 +139,11 @@ def buchi(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResu
 # Relaxation oracles
 
 
-def _stabilize(aut: EnergyAutomaton, edges: tuple, energy: Dict[int, ExtValue]) -> Tuple[dict, dict]:
+def _stabilize(edges: tuple, energy: Dict[int, ExtValue]) -> Tuple[dict, dict]:
     """Best energy per state over all walks from ``energy``, in place.
 
-    Bellman-Ford sweeps over the live ``edges`` (n = ``aut.dim``), which
-    the oracle reads once per call from ``aut.edges``.  After n - 1
+    Bellman-Ford sweeps over the live ``edges`` (n = ``len(energy)``: all
+    states are seeded), read once per call from ``aut.edges``.  After n - 1
     sweeps each state holds at least its best energy over simple paths.
     Edge slopes are >= 1, so the gain h(x) - x of a walk is nondecreasing
     in x: a cycle that gains where it is entered can be pumped to top,
@@ -169,13 +169,13 @@ def _stabilize(aut: EnergyAutomaton, edges: tuple, energy: Dict[int, ExtValue]) 
                 improved.add(dst)
         if not improved:
             return energy, walk
-        if sweep == aut.dim + 1:
+        if sweep == len(energy) + 1:
             energy.update(dict.fromkeys(improved, TOP))
 
 
 def _max_energies(aut: EnergyAutomaton, edges: tuple, x0: ExtValue) -> Tuple[dict, dict]:
     seeds = {i: x0 if name in aut.initial else BOTTOM for i, name in enumerate(aut.states)}
-    return _stabilize(aut, edges, seeds)
+    return _stabilize(edges, seeds)
 
 
 def _top_probe(aut: EnergyAutomaton, edges: tuple) -> Rational:
@@ -271,7 +271,7 @@ def oracle_buchi(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
         if name not in aut.accepting or energy[i].is_bottom:
             continue
         z = top_probe if energy[i].is_top else energy[i]
-        back, back_walk = _stabilize(aut, edges, {j: f.eval(z) for j, f in enumerate(aut.matrix.rows[i])})
+        back, back_walk = _stabilize(edges, {j: f.eval(z) for j, f in enumerate(aut.matrix.rows[i])})
         if back[i] >= z:
             prefix = _witness_path(aut, walk, i)
             cycle = (aut.states[i],) + _witness_path(aut, back_walk, i)[:-1]

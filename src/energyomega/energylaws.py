@@ -4,9 +4,9 @@ Laws whose right side is an infinite supremum (Ax0, Ax3, Ax4,
 bi-inductive) are compared with ``energyauto``'s relaxation oracles on a
 small automaton built from their operands (``_oracle_cases``); Ax1-Ax2
 and the refolded bi-inductive side compare two omega values in
-``laws._compare``.  The seeded generators draw the operands.  ``laws``
-imports this module where the energy instance runs, and resolves its
-public names on first access, so the word instance starts without it.
+``laws._compare``; seeded generators draw the operands.  Callers import
+checkers and generators from here, and ``laws`` only where the energy
+instance runs, so the word instance starts without this module.
 """
 
 from __future__ import annotations

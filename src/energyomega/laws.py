@@ -9,9 +9,8 @@ comparison that raises BudgetExceeded as Unknown.  IDENTITIES is one
 table of Conway identities shared by both models and ``wordcheck``;
 group identities take a GROUP_TABLES name.  All randomness is seeded,
 so every failure is replayable.  The energy-only laws (Ax0-Ax4 and
-bi-inductive) and their generators live in ``energylaws``, which loads
-with the energy layers on first use: the word instance runs without
-them, and ``laws.check_ax0`` and the rest still resolve here.
+bi-inductive) and their generators are imported from ``energylaws``;
+only the energy instance loads it, and with it the energy layers.
 """
 
 from __future__ import annotations
@@ -22,20 +21,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import matrixkleene as mk, wordmodel
 from .errors import BudgetExceeded, InvalidGroupTable, UnknownIdentity
-
-# energylaws names that resolve as attributes of this module
-_ENERGY_NAMES = frozenset((
-    "_small_frac", "random_energy_function", "random_predicate", "random_samples",
-    "_oracle_cases", "check_ax0", "_regrouped_lasso", "check_ax1_ax2", "check_ax3",
-    "check_ax4", "check_bi_inductive",
-))
-
-
-def __getattr__(name: str):
-    if name in _ENERGY_NAMES:
-        from . import energylaws
-        return getattr(energylaws, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LawCase(NamedTuple):
@@ -51,12 +36,9 @@ class LawReport:
 
     __slots__ = ("law", "instance", "cases", "failures", "unknowns", "seed")
 
-    def __init__(self, law: str, instance: str, cases: int = 0,
-                 failures: Optional[List[LawCase]] = None,
-                 unknowns: Optional[List[LawCase]] = None, seed: Optional[int] = None) -> None:
-        self.law, self.instance, self.cases, self.seed = law, instance, cases, seed
-        self.failures = [] if failures is None else failures
-        self.unknowns = [] if unknowns is None else unknowns
+    def __init__(self, law: str, instance: str, seed: Optional[int] = None) -> None:
+        self.law, self.instance, self.cases, self.seed = law, instance, 0, seed
+        self.failures, self.unknowns = [], []
 
     @property
     def verdict(self) -> str:

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from energyomega import cli, energyauto, energyfn, laws, matrixkleene as mk, omegaval, wordmodel
+from energyomega import cli, energyauto, energyfn, energylaws, laws, matrixkleene as mk, omegaval, wordmodel
 from energyomega.energyfn import identity
 from energyomega.extlat import BOTTOM, TOP, finite
 from energyomega.omegaval import apply
@@ -50,7 +50,7 @@ def test_criterion_1_star_vs_iteration():
     rng = random.Random(101)
     start = time.monotonic()
     for _ in range(500):
-        f = laws.random_energy_function(rng)
+        f = energylaws.random_energy_function(rng)
         assert _star_matches_witness(f, _sample_points(rng, f, 20)), str(f)
     assert time.monotonic() - start < 10.0
 
@@ -59,7 +59,7 @@ def test_criterion_1_star_vs_iteration():
 def test_criterion_2_omega_vs_orbit():
     rng = random.Random(101)
     for _ in range(500):
-        f = laws.random_energy_function(rng)
+        f = energylaws.random_energy_function(rng)
         w = omegaval.omega(f)
         for x in _sample_points(rng, f, 20):
             if not x.is_finite:
@@ -86,7 +86,7 @@ def test_criterion_3_matrix_star():
         n = rng.choice((2, 3))
         m = mk.matrix(
             mk.ENERGY_ALGEBRA,
-            [[laws.random_energy_function(rng) for _ in range(n)] for _ in range(n)],
+            [[energylaws.random_energy_function(rng) for _ in range(n)] for _ in range(n)],
         )
         s = mk.mat_star(m)
         pts = [BOTTOM] + [
@@ -102,7 +102,7 @@ def test_criterion_3_matrix_star():
             m = mk.matrix(
                 mk.ENERGY_ALGEBRA,
                 [
-                    [laws.random_energy_function(rng) for _ in range(n)]
+                    [energylaws.random_energy_function(rng) for _ in range(n)]
                     for _ in range(n)
                 ],
             )
@@ -181,7 +181,7 @@ def test_criterion_7_mutation(monkeypatch):
     rng = random.Random(101)
     clean = True
     for _ in range(500):
-        f = laws.random_energy_function(rng)
+        f = energylaws.random_energy_function(rng)
         if not _star_matches_witness(f, _sample_points(rng, f, 20)):
             clean = False
             break
@@ -190,12 +190,12 @@ def test_criterion_7_mutation(monkeypatch):
     # criterion-5 style law checking notices it too
     g = fn_pieces(2, [(2, 2, 2)])  # f(x) = 2x - 2, fixed point at 2
     report = laws.LawReport("ax0", "energy")
-    laws.check_ax0(report, identity(), g, identity(), [finite(2)])
+    energylaws.check_ax0(report, identity(), g, identity(), [finite(2)])
     assert report.verdict == "Fail", "mutated star slipped past check_ax0"
 
     monkeypatch.undo()
     report = laws.LawReport("ax0", "energy")
-    laws.check_ax0(report, identity(), g, identity(), [finite(2)])
+    energylaws.check_ax0(report, identity(), g, identity(), [finite(2)])
     assert report.verdict == "Pass"
 
 

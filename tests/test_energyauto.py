@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from energyomega import energyauto as ea
-from energyomega import cli, energyfn, laws, matrixkleene as mk, omegaval
+from energyomega import cli, energyfn, energylaws, matrixkleene as mk, omegaval
 from energyomega.energyfn import CONST_BOTTOM, identity, shift
 from energyomega.errors import ParseError, VerificationFailed
 from energyomega.extlat import BOTTOM, TOP, finite
@@ -407,7 +407,7 @@ def _random_automaton(rng, n):
     for src in states:
         for dst in states:
             if rng.random() < 0.55:
-                edges.append((src, dst, laws.random_energy_function(rng)))
+                edges.append((src, dst, energylaws.random_energy_function(rng)))
     k = rng.randint(1, n)
     initial = rng.sample(states, rng.randint(1, n))
     accepting = rng.sample(states, k) if rng.random() < 0.9 else []
@@ -444,7 +444,7 @@ def _sparse_ring(rng, n):
                 loss = Fraction(rng.randint(0, 2), rng.choice((1, 2)))
                 fn = shift(p[j] - p[i] - loss)
             else:
-                fn = laws.random_energy_function(rng)
+                fn = energylaws.random_energy_function(rng)
             edges.append((states[i], states[j], fn))
     initial = rng.sample(states, rng.randint(1, 2))
     accepting = rng.sample(states, rng.randint(1, 3))

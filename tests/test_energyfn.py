@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from energyomega import energyfn, laws
+from energyomega import energyfn, energylaws
 from energyomega.energyfn import (
     CONST_BOTTOM,
     EnergyFunction,
@@ -256,7 +256,7 @@ def test_witness_rejects_bad_budget():
 
 def _corpus(seed, k):
     rng = random.Random(seed)
-    return [laws.random_energy_function(rng) for _ in range(k)], rng
+    return [energylaws.random_energy_function(rng) for _ in range(k)], rng
 
 
 def test_defining_inequality():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from energyomega import energyauto as ea
-from energyomega import energyfn, laws, omegaval
+from energyomega import energyfn, energylaws, omegaval
 from energyomega.energyfn import EnergyFunction, Piece, compose, join, shift, star
 from energyomega.errors import ParseError
 from energyomega.extlat import ExtValue, as_fraction, div, finite, ratio
@@ -47,8 +47,8 @@ def _assert_exact(*results):
 
 
 def _draw(rng):
-    f, g = laws.random_energy_function(rng), laws.random_energy_function(rng)
-    v = laws.random_predicate(rng)  # its threshold may be a Fraction(k, 1)
+    f, g = energylaws.random_energy_function(rng), energylaws.random_energy_function(rng)
+    v = energylaws.random_predicate(rng)  # its threshold may be a Fraction(k, 1)
     if not v.is_never:
         v = omegaval.from_threshold(v.threshold, v.inclusive)
     return f, g, v, _random_automaton(rng, rng.randint(1, 4))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from energyomega import cli, energyfn, laws, omegaval, wordmodel
+from energyomega import cli, energyfn, energylaws, laws, omegaval, wordmodel
 from energyomega.energyfn import CONST_BOTTOM, identity, shift
 from energyomega.errors import (
     BudgetExceeded,
@@ -49,25 +49,25 @@ def group(name, elements, instance="energy", bound=5):
 
 
 def test_ax0_stabilizing_orbit(decrement):
-    report = checked(laws.check_ax0, identity(), decrement, identity(), SAMPLES)
+    report = checked(energylaws.check_ax0, identity(), decrement, identity(), SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax0_const_bottom_middle():
-    report = checked(laws.check_ax0, shift(3), CONST_BOTTOM, identity(), SAMPLES)
+    report = checked(energylaws.check_ax0, shift(3), CONST_BOTTOM, identity(), SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax0_divergent_orbit():
-    report = checked(laws.check_ax0, identity(), shift(1), identity(), SAMPLES)
+    report = checked(energylaws.check_ax0, identity(), shift(1), identity(), SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax0_random_triples():
     rng = random.Random(61)
     for _ in range(40):
-        f, g, h = (laws.random_energy_function(rng) for _ in range(3))
-        report = checked(laws.check_ax0, f, g, h, laws.random_samples(rng, 6))
+        f, g, h = (energylaws.random_energy_function(rng) for _ in range(3))
+        report = checked(energylaws.check_ax0, f, g, h, energylaws.random_samples(rng, 6))
         assert report.verdict == "Pass", (report.failures, report.unknowns)
 
 
@@ -76,29 +76,29 @@ def test_ax0_random_triples():
 
 
 def test_ax1_peel_one(decrement, plus_two):
-    report = checked(laws.check_ax1_ax2, [plus_two], [decrement], (1, [1]))
+    report = checked(energylaws.check_ax1_ax2, [plus_two], [decrement], (1, [1]))
     assert report.verdict == "Pass"
 
 
 def test_ax2_power_collapse():
     g = fn_pieces(2, [(2, 2, 2)])
-    report = checked(laws.check_ax1_ax2, [], [g], (0, [2]))
+    report = checked(energylaws.check_ax1_ax2, [], [g], (0, [2]))
     assert report.verdict == "Pass"
 
 
 def test_ax2_blocks_after_prefix(decrement, plus_two):
-    report = checked(laws.check_ax1_ax2, [plus_two], [decrement, identity()], (1, [2]))
+    report = checked(energylaws.check_ax1_ax2, [plus_two], [decrement, identity()], (1, [2]))
     assert report.verdict == "Pass"
 
 
 def test_ax2_uneven_blocks_random():
     rng = random.Random(62)
     for _ in range(25):
-        prefix = [laws.random_energy_function(rng) for _ in range(rng.randint(0, 2))]
-        cycle = [laws.random_energy_function(rng) for _ in range(rng.randint(1, 3))]
+        prefix = [energylaws.random_energy_function(rng) for _ in range(rng.randint(0, 2))]
+        cycle = [energylaws.random_energy_function(rng) for _ in range(rng.randint(1, 3))]
         head = rng.randint(0, 3)
         blocks = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
-        report = checked(laws.check_ax1_ax2, prefix, cycle, (head, blocks))
+        report = checked(energylaws.check_ax1_ax2, prefix, cycle, (head, blocks))
         assert report.verdict == "Pass", report.failures
 
 
@@ -119,7 +119,7 @@ def test_regrouping_is_exact(monkeypatch):
         blocks = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
         cases.append((prefix, cycle, rng.randint(0, 7), blocks))
     for prefix, cycle, head, blocks in cases:
-        new_prefix, new_cycle = laws._regrouped_lasso(prefix, cycle, head, blocks)
+        new_prefix, new_cycle = energylaws._regrouped_lasso(prefix, cycle, head, blocks)
 
         def element(n):
             return prefix[n] if n < len(prefix) else cycle[(n - len(prefix)) % len(cycle)]
@@ -134,11 +134,11 @@ def test_regrouping_is_exact(monkeypatch):
 
 def test_regrouping_rejected():
     with pytest.raises(InvalidRegrouping):
-        checked(laws.check_ax1_ax2, [], [identity()], (-1, [1]))
+        checked(energylaws.check_ax1_ax2, [], [identity()], (-1, [1]))
     with pytest.raises(InvalidRegrouping):
-        checked(laws.check_ax1_ax2, [], [identity()], (0, []))
+        checked(energylaws.check_ax1_ax2, [], [identity()], (0, []))
     with pytest.raises(InvalidRegrouping):
-        checked(laws.check_ax1_ax2, [], [identity()], (0, [0, 2]))
+        checked(energylaws.check_ax1_ax2, [], [identity()], (0, [0, 2]))
 
 
 # ----------------------------------------------------------------------
@@ -146,48 +146,48 @@ def test_regrouping_rejected():
 
 
 def test_ax3_idempotent_choice(decrement):
-    report = checked(laws.check_ax3, [], [identity()], decrement, decrement, SAMPLES)
+    report = checked(energylaws.check_ax3, [], [identity()], decrement, decrement, SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax3_bottom_choice_dies(decrement):
-    report = checked(laws.check_ax3, [identity()], [decrement], decrement, CONST_BOTTOM, SAMPLES)
+    report = checked(energylaws.check_ax3, [identity()], [decrement], decrement, CONST_BOTTOM, SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax3_identity_vs_decrement(decrement):
-    report = checked(laws.check_ax3, [], [identity()], identity(), decrement, SAMPLES)
+    report = checked(energylaws.check_ax3, [], [identity()], identity(), decrement, SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax3_random():
     rng = random.Random(63)
     for _ in range(12):
-        prefix = [laws.random_energy_function(rng) for _ in range(rng.randint(0, 1))]
-        cycle = [laws.random_energy_function(rng) for _ in range(rng.randint(1, 2))]
-        y = laws.random_energy_function(rng)
-        z = laws.random_energy_function(rng)
-        report = checked(laws.check_ax3, prefix, cycle, y, z, laws.random_samples(rng, 5))
+        prefix = [energylaws.random_energy_function(rng) for _ in range(rng.randint(0, 1))]
+        cycle = [energylaws.random_energy_function(rng) for _ in range(rng.randint(1, 2))]
+        y = energylaws.random_energy_function(rng)
+        z = energylaws.random_energy_function(rng)
+        report = checked(energylaws.check_ax3, prefix, cycle, y, z, energylaws.random_samples(rng, 5))
         assert report.verdict == "Pass", (report.failures, report.unknowns)
 
 
 def test_ax4_trivial_stars(decrement):
     for f in (CONST_BOTTOM, identity()):
-        report = checked(laws.check_ax4, f, [decrement], SAMPLES)
+        report = checked(energylaws.check_ax4, f, [decrement], SAMPLES)
         assert report.verdict == "Pass"
 
 
 def test_ax4_pumping(decrement):
-    report = checked(laws.check_ax4, shift(1), [identity()], SAMPLES)
+    report = checked(energylaws.check_ax4, shift(1), [identity()], SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_ax4_random():
     rng = random.Random(64)
     for _ in range(12):
-        f = laws.random_energy_function(rng)
-        cycle = [laws.random_energy_function(rng) for _ in range(rng.randint(1, 2))]
-        report = checked(laws.check_ax4, f, cycle, laws.random_samples(rng, 5))
+        f = energylaws.random_energy_function(rng)
+        cycle = [energylaws.random_energy_function(rng) for _ in range(rng.randint(1, 2))]
+        report = checked(energylaws.check_ax4, f, cycle, energylaws.random_samples(rng, 5))
         assert report.verdict == "Pass", (report.failures, report.unknowns)
 
 
@@ -203,10 +203,10 @@ def test_ax3_ax4_catch_flipped_omega_boundary(monkeypatch):
 
     monkeypatch.setattr(omegaval, "omega", flipped)
     rng = random.Random(112)
-    f, y, x0, x1 = (laws.random_energy_function(rng) for _ in range(4))
-    samples = laws.random_samples(rng, 6)
-    assert checked(laws.check_ax3, [x0], [x1], f, y, samples).verdict == "Fail"
-    assert checked(laws.check_ax4, f, [x1], samples).verdict == "Fail"
+    f, y, x0, x1 = (energylaws.random_energy_function(rng) for _ in range(4))
+    samples = energylaws.random_samples(rng, 6)
+    assert checked(energylaws.check_ax3, [x0], [x1], f, y, samples).verdict == "Fail"
+    assert checked(energylaws.check_ax4, f, [x1], samples).verdict == "Fail"
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_group_random_energy():
     rng = random.Random(65)
     for name in ("C2", "C3", "C4", "klein"):
         n = len(laws.GROUP_TABLES[name])
-        elements = [laws.random_energy_function(rng) for _ in range(n)]
+        elements = [energylaws.random_energy_function(rng) for _ in range(n)]
         report = group(name, elements)
         assert report.verdict == "Pass", (name, report.failures)
 
@@ -407,26 +407,26 @@ def test_group_table_validation():
 
 
 def test_bi_inductive_identity_never():
-    report = checked(laws.check_bi_inductive, identity(), NEVER, SAMPLES)
+    report = checked(energylaws.check_bi_inductive, identity(), NEVER, SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_bi_inductive_const_bottom():
-    report = checked(laws.check_bi_inductive, CONST_BOTTOM, from_threshold(3), SAMPLES)
+    report = checked(energylaws.check_bi_inductive, CONST_BOTTOM, from_threshold(3), SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_bi_inductive_decrement(decrement):
-    report = checked(laws.check_bi_inductive, decrement, from_threshold(5), SAMPLES)
+    report = checked(energylaws.check_bi_inductive, decrement, from_threshold(5), SAMPLES)
     assert report.verdict == "Pass"
 
 
 def test_bi_inductive_random():
     rng = random.Random(67)
     for _ in range(30):
-        f = laws.random_energy_function(rng)
-        v = laws.random_predicate(rng)
-        report = checked(laws.check_bi_inductive, f, v, laws.random_samples(rng, 6))
+        f = energylaws.random_energy_function(rng)
+        v = energylaws.random_predicate(rng)
+        report = checked(energylaws.check_bi_inductive, f, v, energylaws.random_samples(rng, 6))
         assert report.verdict == "Pass", (report.failures, report.unknowns)
 
 
@@ -453,7 +453,7 @@ def test_suite_zero_cases_runs_none(instance):
 
 def test_report_json_shape():
     report = laws.LawReport("ax0", "energy")
-    laws.check_ax0(report, identity(), shift(-1), identity(), SAMPLES)
+    energylaws.check_ax0(report, identity(), shift(-1), identity(), SAMPLES)
     doc = report.to_json()
     assert doc["law"] == "ax0"
     assert doc["verdict"] == "Pass"

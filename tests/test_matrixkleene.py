@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from energyomega import energyauto, energyfn, laws, matrixkleene as mk, omegaval, wordmodel
+from energyomega import energyauto, energyfn, energylaws, laws, matrixkleene as mk, omegaval, wordmodel
 from energyomega.energyfn import CONST_BOTTOM, identity, shift
 from energyomega.errors import BadAcceptingCount, DimensionMismatch
 from energyomega.extlat import BOTTOM, TOP, finite
@@ -86,7 +86,7 @@ def test_mat_star_unfolding():
     for _ in range(25):
         n = rng.randint(1, 3)
         m = _mat(
-            [[laws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
+            [[energylaws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
         )
         s = mk.mat_star(m)
         unfolded = mat_join(mat_identity(ALG, n), mat_mul(m, s))
@@ -103,7 +103,7 @@ def test_mat_omega_fixed_point():
     for _ in range(25):
         n = rng.randint(1, 3)
         m = _mat(
-            [[laws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
+            [[energylaws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
         )
         w = mk.mat_omega(m)
         assert mat_vec_act(m, w) == w
@@ -297,7 +297,7 @@ def test_split_independence():
         for n in (3, 4):
             m = _mat(
                 [
-                    [laws.random_energy_function(rng) for _ in range(n)]
+                    [energylaws.random_energy_function(rng) for _ in range(n)]
                     for _ in range(n)
                 ]
             )
@@ -331,9 +331,9 @@ def test_mat_star_vec_is_star_times_vector():
     for _ in range(25):
         n = rng.randint(1, 4)
         m = _mat(
-            [[laws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
+            [[energylaws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
         )
-        c = [laws.random_energy_function(rng) for _ in range(n)]
+        c = [energylaws.random_energy_function(rng) for _ in range(n)]
         star = mk.mat_star(m)
         want = [CONST_BOTTOM] * n
         for i in range(n):
@@ -363,7 +363,7 @@ def test_mat_star_against_path_sup():
     for _ in range(30):
         n = rng.randint(1, 3)
         m = _mat(
-            [[laws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
+            [[energylaws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
         )
         s = mk.mat_star(m)
         pts = [BOTTOM] + [
@@ -382,7 +382,7 @@ def test_mat_omega_against_run_search():
     for _ in range(25):
         n = rng.randint(1, 3)
         m = _mat(
-            [[laws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
+            [[energylaws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
         )
         w = mk.mat_omega(m)
         states = [f"q{k}" for k in range(n)]

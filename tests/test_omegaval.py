@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from energyomega import energyfn, laws, omegaval
+from energyomega import energyfn, energylaws, omegaval
 from energyomega.energyfn import CONST_BOTTOM, compose, identity, shift, star
 from energyomega.omegaval import (
     NEVER,
@@ -102,8 +102,8 @@ def test_negative_threshold_rejected():
 
 def _corpus(seed, k):
     rng = random.Random(seed)
-    fns = [laws.random_energy_function(rng) for _ in range(k)]
-    preds = [laws.random_predicate(rng) for _ in range(k)]
+    fns = [energylaws.random_energy_function(rng) for _ in range(k)]
+    preds = [energylaws.random_predicate(rng) for _ in range(k)]
     return fns, preds, rng
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from energyomega import energyauto as ea, energyfn, laws, matrixkleene as mk, omegaval
+from energyomega import energyauto as ea, energyfn, energylaws, matrixkleene as mk, omegaval
 from energyomega.extlat import Ratio, div, exact, finite, parse_ext, ratio
 
 from conftest import perfbench
@@ -145,8 +145,8 @@ def test_parsed_steps_and_drawn_values_store_ints_and_ratios():
             "pieces": [], "top": {"boundary": "1/2"}}
     rng = random.Random(3)
     built = [energyfn.from_json(step)]
-    built += [laws.random_energy_function(rng) for _ in range(3000)]
-    built += [laws.random_predicate(rng) for _ in range(2000)]
+    built += [energylaws.random_energy_function(rng) for _ in range(3000)]
+    built += [energylaws.random_predicate(rng) for _ in range(2000)]
     rationals = [q for value in built for q in _rationals(value)]
     assert any(type(q) is Ratio for q in rationals)
     leaked = [q for q in rationals if not (type(q) is int or type(q) is Ratio)]

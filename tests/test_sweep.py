@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from hypothesis import given, seed, settings, strategies as st
 
-from energyomega import energyauto, energyfn, laws, omegaval
+from energyomega import energyauto, energyfn, energylaws, omegaval
 from energyomega.extlat import finite
 from energyomega.omegaval import NEVER, ThresholdPredicate
 
@@ -137,7 +137,7 @@ def test_every_crossing_is_a_candidate():
     rng = random.Random(1501)
     gaps = changes = 0
     for _ in range(1000):
-        f, g = laws.random_energy_function(rng), laws.random_energy_function(rng)
+        f, g = energylaws.random_energy_function(rng), energylaws.random_energy_function(rng)
         lines = sweepref.lines(g) + [
             (rng.choice(LINE_SLOPES), Fraction(rng.randint(-8, 16), rng.randint(1, 4)), 0, None)
             for _ in range(3)
@@ -196,8 +196,9 @@ def test_compose_and_join_read_each_point_once(monkeypatch):
         raise AssertionError("compose and join search nothing")
 
     monkeypatch.setattr(energyfn, "_sweep", counting)
-    monkeypatch.setattr(sweepref, "_meets", forbidden)
     monkeypatch.setattr(energyfn, "bisect_right", forbidden)
+    for name in ("_meets", "_cells", "lines"):
+        assert not hasattr(energyfn, name) and not hasattr(energyfn.EnergyFunction, name), name
     rng = random.Random(33)
     for k in (250, 500, 1000):
         f, g = manypieces.zigzag(rng, k), manypieces.zigzag(rng, k)
