@@ -8,6 +8,8 @@ answer (or failed checks), 2 for any usage, input or output error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -204,6 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    # Freeze the heap at interpreter exit, before the shutdown collections,
+    # which then scan nothing: the command has flushed its output, it holds
+    # no other resource, and the OS frees the heap.  Registered once however
+    # often main is called; the collector runs as usual until exit.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

@@ -23,7 +23,7 @@ RationalLike = Union[int, str, Fraction]
 # Fraction("1e999999999") would build a billion-digit integer.
 MAX_LITERAL_CHARS = 256
 MAX_LITERAL_EXPONENT = 256
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)"  # re compiles and caches it on first search
 
 _BOT_RANK = 0
 _FIN_RANK = 1
@@ -181,21 +181,24 @@ def as_fraction(q: RationalLike) -> Rational:
     if isinstance(q, int) and not isinstance(q, bool):
         return int(q)
     if isinstance(q, str):
-        # the common ASCII "p/q" without Fraction's regular expression; any
-        # other text, a zero denominator too, takes the checks below
-        num, slash, den = q.partition("/")
-        if slash and q.isascii() and num.isdigit() and den.strip("0").isdigit() and len(q) <= MAX_LITERAL_CHARS:
-            return ratio(int(num), int(den))
-        exp = _EXPONENT.search(q)
-        if len(q) > MAX_LITERAL_CHARS or exp and abs(int(exp[1])) > MAX_LITERAL_EXPONENT:
+        if len(q) <= MAX_LITERAL_CHARS:
+            # the common ASCII "p/q" without Fraction's regular expression,
+            # then the integers, which int parses in C; any other text, a
+            # zero denominator too, takes the checks below
+            num, slash, den = q.partition("/")
+            if slash and q.isascii() and num.isdigit() and den.strip("0").isdigit():
+                return ratio(int(num), int(den))
+            try:
+                return int(q)
+            except ValueError:
+                pass
+        # int takes no exponent, so only the literals that get here are searched for one
+        if len(q) > MAX_LITERAL_CHARS or (
+                (exp := re.search(_EXPONENT, q)) and abs(int(exp[1])) > MAX_LITERAL_EXPONENT):
             raise ParseError(
                 f"rational literal {q[:32]!r} is over {MAX_LITERAL_CHARS} characters "
                 f"or its exponent over {MAX_LITERAL_EXPONENT}"
             )
-        try:
-            return int(q)  # most literals are integers, and int parses them in C
-        except ValueError:
-            pass
         try:
             q = Fraction(q)
         except (ValueError, ZeroDivisionError) as exc:

@@ -1,10 +1,12 @@
 """Tests for the command-line interface, including golden outputs."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -381,6 +383,46 @@ def test_commands_define_one_dataclass_and_load_energylaws_only_for_energy_laws(
         [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["['StarAlgebra']", str(loads_energylaws)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reach", PUMP, "--energy", "0"],
+    ["wordcheck", "--identity", "omega-sum", "--cases", "1"],
+    ["reach", PUMP],
+], ids=["reach", "wordcheck", "usage-error"])
+def test_main_leaves_the_callers_collector_alone(monkeypatch, argv):
+    """main only registers gc.freeze for interpreter exit, once however
+    often it is called: an in-process caller keeps a collecting heap."""
+    hooks = []
+    monkeypatch.setattr(cli, "atexit", types.SimpleNamespace(
+        register=hooks.append, unregister=lambda f: hooks.remove(f) if f in hooks else None))
+    enabled = gc.isenabled()
+    for _ in range(2):
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+        assert gc.isenabled() == enabled and gc.get_freeze_count() == 0
+        assert hooks == [gc.freeze]
+
+
+def test_exit_freezes_the_heap_before_the_shutdown_collections():
+    """After main returns, the interpreter's first shutdown collection finds
+    the heap frozen, so it scans none of the objects the command left."""
+    code = (
+        "import gc, os, sys\n"
+        "import energyomega.cli as cli\n"
+        f"code = cli.main(['reach', {PUMP!r}, '--energy', '0'])\n"
+        "def report(phase, info, freeze=gc.get_freeze_count, write=os.write, fd=sys.stderr.fileno()):\n"
+        "    if phase == 'start':\n"
+        "        write(fd, b'frozen %d\\n' % freeze())\n"
+        "gc.callbacks.append(report)\n"
+        "sys.exit(code)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.splitlines() == ["reachable: yes", "value: top"]
+    frozen = [int(line.split()[1]) for line in run.stderr.splitlines() if line.startswith("frozen ")]
+    assert frozen and frozen[-1] > 0, run.stderr
 
 
 def test_help_text(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Tests for the extended-value lattice."""
 
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -132,6 +134,30 @@ def test_literals_parse_as_fraction_does():
         assert str(caught.value) == (
             f"rational literal {text[:32]!r} is over {MAX_LITERAL_CHARS} characters "
             f"or its exponent over {MAX_LITERAL_EXPONENT}")
+
+
+def test_integer_and_ratio_literals_skip_the_exponent_search():
+    # an automaton's JSON is mostly integers and plain "p/q": they parse
+    # without running a regular expression; other text is searched for an exponent
+    patterns = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), re.Pattern):
+            patterns.append(arg.__self__.pattern)
+
+    def searched(text):
+        patterns.clear()
+        sys.setprofile(profile)
+        try:
+            as_fraction(text)
+        finally:
+            sys.setprofile(None)
+        return patterns
+
+    for text in ("0", "4", "-7", "+12", " 3", "9" * 200, "3/2", "6/2", "0/5", "007/3", "9" * 120 + "/7"):
+        assert searched(text) == [], text
+    for text in ("1e3", "25e-2", "1.5"):
+        assert any(p.startswith("[eE]") for p in searched(text)), text
 
 
 def test_booleans_rejected():
