@@ -21,6 +21,11 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 
+# Freeze the heap at interpreter exit, so the shutdown collections scan
+# nothing: the command has flushed its output, it holds no other resource,
+# and the OS frees the heap.  Until then the collector runs as usual.
+atexit.register(gc.freeze)
+
 
 def _load_json(path: str) -> dict:
     try:
@@ -206,12 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    # Freeze the heap at interpreter exit, before the shutdown collections,
-    # which then scan nothing: the command has flushed its output, it holds
-    # no other resource, and the OS frees the heap.  Registered once however
-    # often main is called; the collector runs as usual until exit.
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
@@ -221,7 +220,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
     except OSError as exc:  # stdout cannot be written; the exit flush then goes to devnull
         print(f"error: cannot write output: {exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return EXIT_ERROR
 
 

@@ -1,12 +1,14 @@
 """Tests for the command-line interface, including golden outputs."""
 
+import atexit
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import time
-import types
 
 import pytest
 
@@ -390,20 +392,36 @@ def test_commands_define_one_dataclass_and_load_energylaws_only_for_energy_laws(
     ["wordcheck", "--identity", "omega-sum", "--cases", "1"],
     ["reach", PUMP],
 ], ids=["reach", "wordcheck", "usage-error"])
-def test_main_leaves_the_callers_collector_alone(monkeypatch, argv):
-    """main only registers gc.freeze for interpreter exit, once however
-    often it is called: an in-process caller keeps a collecting heap."""
-    hooks = []
-    monkeypatch.setattr(cli, "atexit", types.SimpleNamespace(
-        register=hooks.append, unregister=lambda f: hooks.remove(f) if f in hooks else None))
+def test_main_leaves_the_callers_collector_alone(argv):
+    """main changes no process-wide state: an in-process caller keeps a
+    collecting, unfrozen heap, and repeated calls add no atexit entry."""
     enabled = gc.isenabled()
-    for _ in range(2):
+    callbacks = atexit._ncallbacks()
+    for _ in range(3):
         try:
             cli.main(argv)
         except SystemExit as exc:
             assert exc.code == 2
         assert gc.isenabled() == enabled and gc.get_freeze_count() == 0
-        assert hooks == [gc.freeze]
+        assert atexit._ncallbacks() == callbacks
+
+
+def test_cli_import_registers_one_exit_hook():
+    """Importing cli adds one atexit entry, and calls to main add none."""
+    code = (
+        "import atexit, contextlib, io\n"
+        "before = atexit._ncallbacks()\n"
+        "import energyomega.cli as cli\n"
+        "loaded = atexit._ncallbacks()\n"
+        f"for argv in (['reach', {PUMP!r}, '--energy', '0'], ['eval', {PLUS2!r}, '--energy', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "print(loaded - before, atexit._ncallbacks() - loaded)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["1", "0"]
 
 
 def test_exit_freezes_the_heap_before_the_shutdown_collections():
@@ -450,3 +468,18 @@ def test_unwritable_stdout_is_error(argv):
     assert run.returncode == 2
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the entries of /proc/self/fd")
+def test_failed_writes_leave_no_descriptor_open():
+    """Each in-process call whose output cannot be written points stdout at
+    /dev/null and keeps no descriptor of its own open."""
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as out, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["reach", PUMP, "--energy", "0"]) == 2
+        assert err.getvalue().startswith("error: cannot write output:")
+    assert len(os.listdir("/proc/self/fd")) == before
