@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import functools
 import gc
 import json
 import os
@@ -195,6 +196,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # once per process: main may be called in a loop
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="energyomega",

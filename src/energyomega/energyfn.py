@@ -90,8 +90,8 @@ class EnergyFunction(Frozen):
 
     __slots__ = ("bottom", "bottom_at_boundary", "pieces", "top", "top_at_boundary")
 
-    def __init__(self, bottom: Optional[Rational], bottom_at_boundary: bool, pieces: Sequence[Piece],
-                 top: Optional[Rational], top_at_boundary: bool) -> None:
+    def __new__(cls, bottom: Optional[Rational], bottom_at_boundary: bool, pieces: Sequence[Piece],
+                top: Optional[Rational], top_at_boundary: bool) -> EnergyFunction:
         if pieces and top is not None and pieces[-1].start == top:
             *pieces, last = pieces
             if not pieces or pieces[-1].value_at(top) != last.intercept:
@@ -102,8 +102,8 @@ class EnergyFunction(Frozen):
             if q is None or p.slope != q.slope or q.value_at(p.start) != p.intercept:
                 exact_already = type(p.start) in _EXACT and type(p.intercept) in _EXACT
                 merged.append(p if exact_already and type(p.slope) in _EXACT else Piece(*map(exact, p)))
-        super().__init__(bottom if bottom is None else exact(bottom), bottom_at_boundary,
-                         tuple(merged), top if top is None else exact(top), top_at_boundary)
+        return super().__new__(cls, bottom if bottom is None else exact(bottom), bottom_at_boundary,
+                               tuple(merged), top if top is None else exact(top), top_at_boundary)
 
     @property
     def is_const_bottom(self) -> bool:

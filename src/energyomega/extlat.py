@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 import re
+import weakref
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Union
@@ -126,42 +127,35 @@ class ExtValue(NamedTuple):
 
 BOTTOM = ExtValue(_BOT_RANK, None)
 TOP = ExtValue(_TOP_RANK, None)
+_INTERNED = weakref.WeakValueDictionary()  # every live Frozen value, by (class, *fields)
 
 
 class Frozen:
-    """Immutable value: a subclass names its two or more fields in
-    ``__slots__`` and passes them to ``Frozen.__init__`` in that order.
-    Equal only within its class; the hash is computed once, as the solve's
-    memo hashes its operands on every request.  Unlike a frozen dataclass,
-    it keeps ``dataclasses`` out of the CLI's start-up."""
+    """Immutable interned value: a subclass names its two or more fields in
+    ``__slots__`` and passes them to ``Frozen.__new__`` in that order.  Equal
+    fields give one object, so == and hash are identity's, and a weak table
+    holds the values.  Build one through its constructor, in one thread at a
+    time.  Unlike a frozen dataclass, it keeps ``dataclasses`` out of start-up."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls) -> None:
         cls._fields = operator.attrgetter(*cls.__slots__)
 
-    def __init__(self, *fields) -> None:
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        self = _INTERNED.get(key)
+        if self is None:
+            self = _INTERNED[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields(self) == self._fields(other)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self._fields(self))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))

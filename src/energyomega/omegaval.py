@@ -20,9 +20,9 @@ class ThresholdPredicate(Frozen):
 
     __slots__ = ("threshold", "inclusive")
 
-    def __init__(self, threshold: Optional[Rational], inclusive: bool = True) -> None:
+    def __new__(cls, threshold: Optional[Rational], inclusive: bool = True) -> ThresholdPredicate:
         # a None threshold encodes Never
-        super().__init__(threshold if threshold is None else exact(threshold), inclusive)
+        return super().__new__(cls, threshold if threshold is None else exact(threshold), inclusive)
 
     @property
     def is_never(self) -> bool:

@@ -443,6 +443,35 @@ def test_exit_freezes_the_heap_before_the_shutdown_collections():
     assert frozen and frozen[-1] > 0, run.stderr
 
 
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    """In-process calls share the parser that the first call builds, and
+    help still reads COLUMNS each time it is printed."""
+    code = (
+        "import argparse, contextlib, io\n"
+        "import energyomega.cli as cli\n"
+        "built, init = [], argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for _ in range(2):\n"
+        f"        assert cli.main(['eval', {PLUS2!r}, '--energy', '3']) == 0\n"
+        "print(built.count('energyomega'), len(built))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["1", str(1 + len(cli.COMMANDS))]
+    widths = []
+    for columns in ("40", "120", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            cli.main(["reach", "--help"])
+        widths.append(max(map(len, capsys.readouterr().out.splitlines())))
+    assert widths[0] == widths[2] < widths[1]
+
+
 def test_help_text(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     out = ""

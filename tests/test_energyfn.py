@@ -1,13 +1,14 @@
 """Tests for the piecewise-affine energy function semiring."""
 
 import copy
+import gc
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from energyomega import energyfn, energylaws
+from energyomega import energyfn, energylaws, extlat, omegaval
 from energyomega.energyfn import (
     CONST_BOTTOM,
     EnergyFunction,
@@ -46,8 +47,8 @@ def test_values_are_immutable_and_equal_only_within_their_class():
     v = ThresholdPredicate(Fraction(1, 2))
     assert v == ThresholdPredicate(threshold=Fraction(1, 2), inclusive=True)
     assert repr(v) == "ThresholdPredicate(threshold=Fraction(1, 2), inclusive=True)"
-    assert hash(v) == hash((Fraction(1, 2), True)) and hash(v) == hash(v)
-    for value, field in ((f, "bottom"), (v, "threshold"), (v, "_hash")):
+    assert ThresholdPredicate(Fraction(1, 2)) is v and hash(v) == hash(v)
+    for value, field in ((f, "bottom"), (v, "threshold"), (v, "__weakref__")):
         with pytest.raises(AttributeError):
             setattr(value, field, 1)
         with pytest.raises(AttributeError):
@@ -58,7 +59,9 @@ def test_values_are_immutable_and_equal_only_within_their_class():
     assert pickle.loads(pickle.dumps(f)) == f and copy.deepcopy(v) == v
 
 
-def test_a_function_hashes_its_fields_once():
+def test_hashing_a_function_reads_no_field():
+    # the intern table hashes the fields when the function is built; the
+    # function's own hash is its identity's
     hashed = []
 
     class Field(Piece):
@@ -67,7 +70,41 @@ def test_a_function_hashes_its_fields_once():
             return 7
 
     f = EnergyFunction(0, False, (Field(0, 2, 1),), None, False)
-    assert hash(f) == hash(f) and len(hashed) == 1
+    assert hashed
+    hashed.clear()
+    assert hash(f) == hash(f) and not hashed
+
+
+def test_equal_normal_forms_are_one_object_along_every_route():
+    f = validate("1/2", False, [("1/2", 0, "3/2"), (2, "9/4", 1)], 5, True)
+    routes = (
+        EnergyFunction(Fraction(1, 2), False, (Piece(Fraction(1, 2), 0, Fraction(3, 2)),
+                                               Piece(2, Fraction(9, 4), 1)), 5, True),
+        validate(Fraction(1, 2), False, [(Fraction(1, 2), 0, Fraction(3, 2)), (2, Fraction(9, 4), 1)],
+                 5, True),
+        energyfn.from_json(energyfn.to_json(f)),
+        compose(identity(), f),
+        compose(f, identity()),
+        pickle.loads(pickle.dumps(f)),
+        copy.deepcopy(f),
+        copy.copy(f),
+    )
+    assert all(g is f for g in routes)
+    v = ThresholdPredicate(Fraction(9, 4), False)
+    assert all(w is v for w in (omegaval.from_threshold("9/4", False), pickle.loads(pickle.dumps(v)),
+                                copy.deepcopy(v), ThresholdPredicate(threshold=Fraction(18, 8),
+                                                                     inclusive=False)))
+    assert ThresholdPredicate(Fraction(9, 4)) is not v
+
+
+def test_the_intern_table_holds_its_values_weakly():
+    gc.collect()
+    before = len(extlat._INTERNED)
+    fs = [shift(Fraction(k, 10007)) for k in range(1, 1001)]
+    assert len(set(map(id, fs))) == 1000 and len(extlat._INTERNED) == before + 1000
+    del fs
+    gc.collect()
+    assert len(extlat._INTERNED) == before
 
 
 def test_construction_normalises_and_canonicalises():

@@ -274,20 +274,31 @@ def test_the_solve_tells_zero_by_identity_alone():
 
 
 def test_an_equal_copy_of_zero_changes_no_answer():
-    # zero entries that equal CONST_BOTTOM without being it are work, not
-    # answers: each becomes a live entry of the solve
-    gen = perfbench("gen")
-    for build in (gen.ring, gen.mixed):
-        aut = energyauto.from_json(build(16, random.Random(5)))
-        rows = [[copy.deepcopy(x) if x is CONST_BOTTOM else x for x in row]
-                for row in aut.matrix.rows]
-        copied = aut._replace(matrix=mk.matrix(ALG, rows))
-        assert any(x == CONST_BOTTOM and x is not CONST_BOTTOM for row in rows for x in row)
-        for value in (energyauto.reach_value, energyauto.buchi_value):
-            assert value(copied) == value(aut)
-        zeta = [identity() if s in aut.accepting else CONST_BOTTOM for s in aut.states]
-        copies = [copy.deepcopy(x) if x is CONST_BOTTOM else x for x in zeta]
-        assert mk.mat_star_vec(copied.matrix, copies) == mk.mat_star_vec(aut.matrix, zeta)
+    # equal energy values are one object, so an energy zero has no copy
+    assert copy.deepcopy(CONST_BOTTOM) is CONST_BOTTOM and copy.deepcopy(NEVER) is NEVER
+    # lang_empty builds equal but distinct zeros: entries and constants
+    # that equal the zeros without being them are work, not answers
+    alg = wordmodel.word_algebra("ab")
+    copied_alg = dataclasses.replace(alg, vzero=wordmodel.LassoLang(()))
+
+    def copies(xs):
+        return [wordmodel.lang_empty("ab") if x is alg.zero else x for x in xs]
+
+    rng = random.Random(38)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        rows = [[alg.zero if rng.random() < 0.5 else laws.random_regex(rng, "ab", True)
+                 for _ in range(n)] for _ in range(n)]
+        c = [alg.zero if rng.random() < 0.5 else laws.random_regex(rng, "ab") for _ in range(n)]
+        copied_rows, copied_c = [copies(row) for row in rows], copies(c)
+        entries, copied_entries = (*c, *sum(rows, [])), (*copied_c, *sum(copied_rows, []))
+        assert any(x is alg.zero for x in entries) and all(x is not alg.zero for x in copied_entries)
+        M, copied = mk.matrix(alg, rows), mk.matrix(alg, copied_rows)
+        for want, got in zip(mk.mat_star_vec(M, c), mk.mat_star_vec(copied, copied_c)):
+            assert wordmodel.lang_equal(want, got)
+        for got_omega in (mk.mat_omega(copied), mk.mat_omega(mk.matrix(copied_alg, copied_rows))):
+            for want, got in zip(mk.mat_omega(M), got_omega):
+                assert wordmodel.lasso_equal_bounded(want, got, 4).equal
 
 
 def test_split_independence():

@@ -71,7 +71,7 @@ def test_operation_counts_match_the_golden_file():
     want = json.loads(COUNTS.read_text())
     got = measure()
     assert got == want
-    assert [got["mixed"]["8"][q]["mul"] for q in ("reach", "buchi")] == [90, 113]
+    assert [got["mixed"]["8"][q]["mul"] for q in ("reach", "buchi")] == [90, 106]
 
 
 if __name__ == "__main__":

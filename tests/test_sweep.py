@@ -244,9 +244,11 @@ def test_threshold_walk_matches_midpoint_sweep_and_stops_at_its_hit():
             for target in _targets(rng, f, slope):
                 for strict in (False, True):
                     want = sweepref.threshold(f, slope, target, strict)
-                    counted, reads = energyfn.EnergyFunction(*f._fields(f)), _Reads(f.pieces)
+                    # a copy outside the intern table, so f itself stays as it is
+                    counted, reads = object.__new__(energyfn.EnergyFunction), _Reads(f.pieces)
                     reads.read = set()
-                    object.__setattr__(counted, "pieces", reads)
+                    for name, value in zip(f.__slots__, f._fields(f)):
+                        object.__setattr__(counted, name, reads if name == "pieces" else value)
                     assert energyfn.threshold(counted, slope, target, strict) == want, (f, slope, target)
                     starts = [p.start for p in f.pieces]
                     i = len(starts) - 1 if want is None else bisect_right(starts, want[0]) - 1
