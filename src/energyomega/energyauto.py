@@ -1,20 +1,20 @@
 """Energy automata: reachability and Buchi acceptance.
 
 The algebraic route answers queries through one elimination solve in
-``matrixkleene``, which returns its solution at the initial states only:
-alpha . M* . zeta for reachability, and alpha times the omega vector over
-M with the accepting columns flagged for Buchi acceptance.  The oracle
-route never composes functions: it evaluates edges on exact energies and
-relaxes the best energy per state over all walks (Bellman-Ford), which
-is sound because all edge functions are monotone.
+``matrixkleene`` over the live edges of the matrix M, at the initial
+states only: alpha . M* . zeta for reachability, and alpha times the omega
+vector over M with the accepting columns flagged for Buchi acceptance.
+The oracle route never composes functions: it evaluates edges on exact
+energies and relaxes the best energy per state over all walks
+(Bellman-Ford), which is sound because all edge functions are monotone.
 A state that still improves in sweep n + 1 is promoted to top, and the
 relaxation ends within 2n + 1 sweeps.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+from functools import reduce
 from typing import Dict, Hashable, Iterable, NamedTuple, Optional, Tuple
 
 from . import energyfn, matrixkleene as mk, omegaval
@@ -23,29 +23,19 @@ from .errors import ParseError, VerificationFailed
 from .extlat import BOTTOM, TOP, ExtValue, Rational, div, finite, format_ext
 from .omegaval import ThresholdPredicate
 
-# from_json refuses more states than this: the matrix has n^2 entries
+# from_json refuses more states than this: the solve's fill-in can reach n^2 entries
 MAX_STATES = 1024
 
 
 class EnergyAutomaton(NamedTuple):
-    states: tuple  # state names, order fixes matrix indices
+    states: tuple  # state names, order fixes the indices in edges
     initial: frozenset
     accepting: frozenset
-    matrix: mk.SquareMatrix
+    edges: tuple  # (i, j, fn) in (i, j) order: parallel edges joined, constant bottom dropped
 
     @property
     def dim(self) -> int:
         return len(self.states)
-
-    @property
-    def edges(self) -> tuple:
-        """The live matrix entries (i, j, fn), row by row, built on each read.
-        A None bottom marks the constant-bottom function: the field read
-        costs a third of the property call over the n^2 entries."""
-        return tuple(
-            (i, j, fn) for i, row in enumerate(self.matrix.rows) for j, fn in enumerate(row)
-            if fn.bottom is not None
-        )
 
 
 class QueryResult(NamedTuple):
@@ -60,8 +50,8 @@ def automaton(
     accepting: Iterable[Hashable],
     edges: Iterable[Tuple[Hashable, Hashable, EnergyFunction]],
 ) -> EnergyAutomaton:
-    """The automaton whose entry M[i][j] joins every (src, dst, fn) edge
-    triple from i to j.  State names may be any hashable values."""
+    """The automaton whose edge from i to j joins every (src, dst, fn)
+    edge triple from i to j.  State names may be any hashable values."""
     states = tuple(states)
     index = {name: i for i, name in enumerate(states)}
     if not states:
@@ -72,31 +62,28 @@ def automaton(
     for name in initial + accepting:
         if name not in index:
             raise ParseError(f"unknown state name {name!r}")
-    n = len(states)
-    rows = [[energyfn.CONST_BOTTOM] * n for _ in range(n)]
+    joined = {}
     for src, dst, fn in edges:
         if src not in index or dst not in index:
             raise ParseError(f"unknown state in edge {src!r} -> {dst!r}")
-        i, j = index[src], index[dst]
-        rows[i][j] = energyfn.join(rows[i][j], fn)
-    matrix = mk.matrix(mk.ENERGY_ALGEBRA, rows)
-    return EnergyAutomaton(states, frozenset(initial), frozenset(accepting), matrix)
+        key = index[src], index[dst]
+        joined[key] = energyfn.join(joined.get(key, energyfn.CONST_BOTTOM), fn)
+    live = tuple((i, j, fn) for (i, j), fn in sorted(joined.items()) if not fn.is_const_bottom)
+    return EnergyAutomaton(states, frozenset(initial), frozenset(accepting), live)
 
 
-def _initial_join(aut: EnergyAutomaton, M: mk.SquareMatrix, c: list, omega: bool):
-    """The join over the initial states of the greatest v with v = M v + c,
-    counting the infinite runs iff ``omega`` (as in ``mk._solve``)."""
-    alg = M.algebra
+def _initial_join(aut: EnergyAutomaton, alg: mk.StarAlgebra, edges: Iterable, c: list, omega: bool):
+    """The join over the initial states of ``mk._solve``'s v = M v + c, M given by ``edges``."""
     vjoin, vzero = (alg.vjoin, alg.vzero) if omega else (alg.join, alg.zero)
     initial = [i for i, name in enumerate(aut.states) if name in aut.initial]
-    return functools.reduce(vjoin, mk._solve(M, c, omega, initial)) if initial else vzero
+    return reduce(vjoin, mk._solve(alg, aut.dim, edges, c, omega, initial)) if initial else vzero
 
 
 def reach_value(aut: EnergyAutomaton) -> EnergyFunction:
     """The single energy function alpha . M* . zeta."""
-    alg = aut.matrix.algebra
+    alg = mk.ENERGY_ALGEBRA
     zeta = [alg.one if name in aut.accepting else alg.zero for name in aut.states]
-    return _initial_join(aut, aut.matrix, zeta, omega=False)
+    return _initial_join(aut, alg, aut.edges, zeta, omega=False)
 
 
 def reachable(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResult:
@@ -117,8 +104,8 @@ def reachable(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> Query
 def buchi_value(aut: EnergyAutomaton) -> ThresholdPredicate:
     """The join over initial states of the omega vector over M with the
     accepting columns flagged: the runs through them infinitely often."""
-    M = mk.flagged(aut.matrix, [name in aut.accepting for name in aut.states])
-    return _initial_join(aut, M, [M.algebra.vzero] * aut.dim, omega=True)
+    alg, edges = mk.flagged(mk.ENERGY_ALGEBRA, aut.edges, [s in aut.accepting for s in aut.states])
+    return _initial_join(aut, alg, edges, [alg.vzero] * aut.dim, omega=True)
 
 
 def buchi(aut: EnergyAutomaton, x0: ExtValue, verify: bool = False) -> QueryResult:
@@ -143,8 +130,8 @@ def _stabilize(edges: tuple, energy: Dict[int, ExtValue]) -> Tuple[dict, dict]:
     """Best energy per state over all walks from ``energy``, in place.
 
     Bellman-Ford sweeps over the live ``edges`` (n = ``len(energy)``: all
-    states are seeded), read once per call from ``aut.edges``.  After n - 1
-    sweeps each state holds at least its best energy over simple paths.
+    states are seeded).  After n - 1 sweeps each state holds at least its
+    best energy over simple paths.
     Edge slopes are >= 1, so the gain h(x) - x of a walk is nondecreasing
     in x: a cycle that gains where it is entered can be pumped to top,
     and one that does not can be cut out without lowering the end
@@ -173,14 +160,13 @@ def _stabilize(edges: tuple, energy: Dict[int, ExtValue]) -> Tuple[dict, dict]:
             energy.update(dict.fromkeys(improved, TOP))
 
 
-def _max_energies(aut: EnergyAutomaton, edges: tuple, x0: ExtValue) -> Tuple[dict, dict]:
+def _max_energies(aut: EnergyAutomaton, x0: ExtValue) -> Tuple[dict, dict]:
     seeds = {i: x0 if name in aut.initial else BOTTOM for i, name in enumerate(aut.states)}
-    return _stabilize(edges, seeds)
+    return _stabilize(aut.edges, seeds)
 
 
-def _top_probe(aut: EnergyAutomaton, edges: tuple) -> Rational:
-    """An energy z* at which every state that sustains at all sustains,
-    from the live ``edges``.
+def _top_probe(aut: EnergyAutomaton) -> Rational:
+    """An energy z* at which every state that sustains at all sustains.
 
     z* = 2 n Z kappa, where Z is 1 plus the largest structure point of any
     edge, and kappa = m / (m - 1) for the least last-piece slope m > 1 of
@@ -213,7 +199,7 @@ def _top_probe(aut: EnergyAutomaton, edges: tuple) -> Rational:
 
     Each bound is at most z*.
     """
-    live = [f for _, _, f in edges]
+    live = [f for _, _, f in aut.edges]
     big_z = 1 + max((f.structure_points()[-1] for f in live), default=0)
     m = min(
         (f.pieces[-1].slope for f in live if f.top is None and f.pieces[-1].slope > 1),
@@ -242,7 +228,7 @@ def _witness_path(aut: EnergyAutomaton, walk: Dict[int, tuple], target: int) -> 
 
 
 def oracle_reach(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
-    energy, walk = _max_energies(aut, aut.edges, x0)
+    energy, walk = _max_energies(aut, x0)
     best, witness = BOTTOM, None
     for i, name in enumerate(aut.states):
         if name in aut.accepting and energy[i] > best:
@@ -264,14 +250,15 @@ def oracle_buchi(aut: EnergyAutomaton, x0: ExtValue) -> QueryResult:
     The witness is the walk that reached s and, as the cycle, the return
     walk that last improved s in that re-stabilization.
     """
-    edges = aut.edges
-    energy, walk = _max_energies(aut, edges, x0)
-    top_probe = finite(_top_probe(aut, edges))
+    energy, walk = _max_energies(aut, x0)
+    top_probe = finite(_top_probe(aut))
     for i, name in enumerate(aut.states):
         if name not in aut.accepting or energy[i].is_bottom:
             continue
         z = top_probe if energy[i].is_top else energy[i]
-        back, back_walk = _stabilize(edges, {j: f.eval(z) for j, f in enumerate(aut.matrix.rows[i])})
+        seeds = dict.fromkeys(range(aut.dim), BOTTOM)
+        seeds.update((dst, f.eval(z)) for src, dst, f in aut.edges if src == i)
+        back, back_walk = _stabilize(aut.edges, seeds)
         if back[i] >= z:
             prefix = _witness_path(aut, walk, i)
             cycle = (aut.states[i],) + _witness_path(aut, back_walk, i)[:-1]

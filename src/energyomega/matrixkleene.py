@@ -3,7 +3,8 @@
 ``mat_star_vec``, ``mat_star``, ``mat_omega`` and ``mat_omega_k``
 share one elimination solve for the greatest solution of v = M v + c;
 ``mat_star`` solves it once per column, with a unit vector as c.  The
-solve works over an abstract operation set, so the energy instance and the
+solve reads M as its edges (i, j, x), the entries that are not zero,
+over an abstract operation set, so the energy instance and the
 regular-language instance share the same code.  ``ENERGY_ALGEBRA``, the
 energy instance, is built on first access, with the energy layers.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, replace
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BadAcceptingCount, DimensionMismatch
 
@@ -87,9 +88,18 @@ def matrix(algebra: StarAlgebra, rows: Sequence[Sequence[Any]]) -> SquareMatrix:
     return SquareMatrix(algebra, rows)
 
 
-def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, keep: Sequence[int]) -> tuple:
+def _entries(M: SquareMatrix) -> list:
+    """The entries (i, j, x) of M that are not ``zero`` itself, row by row."""
+    zero = M.algebra.zero
+    return [(i, j, x) for i, row in enumerate(M.rows) for j, x in enumerate(row) if x is not zero]
+
+
+def _solve(alg: StarAlgebra, n: int, edges: Iterable[tuple], c: Sequence[Any], omega: bool,
+           keep: Sequence[int]) -> tuple:
     """The entries at the states in ``keep``, in that order, of the
     greatest v with v = M v + c, counting the infinite runs iff ``omega``.
+    M is n x n, with M_ij = x for each (i, j, x) in ``edges``, which holds
+    at most one entry per (i, j) and none that is ``zero`` itself.
 
     Under ``omega`` c is over the semimodule, with its ``act``, ``vjoin``
     and ``vzero``; otherwise over the semiring, with ``mul``, ``join``
@@ -111,7 +121,6 @@ def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, keep: Sequence[int]) 
     no answer.  ``mul`` and ``join`` keep every result in a dict keyed by
     the operand pair, which lives as long as the solve.
     """
-    alg, n = M.algebra, M.dim
     products, joins, zero = {}, {}, alg.zero
 
     def memo(done, op, x, y):
@@ -128,7 +137,9 @@ def _solve(M: SquareMatrix, c: Sequence[Any], omega: bool, keep: Sequence[int]) 
 
     order = [*keep, *sorted(set(range(n)).difference(keep))]
     place = {p: k for k, p in enumerate(order)}
-    a = [{place[j]: x for j, x in enumerate(M.rows[p]) if x is not zero} for p in order]
+    a = [{} for _ in range(n)]
+    for i, j, x in edges:
+        a[place[i]][place[j]] = x
     c = [c[p] for p in order]
     solved = [None] * n  # k: (constant part of v_k, [(j, a_kk* a_kj)])
     for k in range(n - 1, -1, -1):
@@ -161,7 +172,7 @@ def mat_star_vec(M: SquareMatrix, c: Sequence[Any]) -> tuple:
     """The column M* c, without building M*."""
     if M.dim != len(c):
         raise DimensionMismatch(f"matrix {M.dim} vs vector {len(c)}")
-    return _solve(M, c, False, range(M.dim))
+    return _solve(M.algebra, M.dim, _entries(M), c, False, range(M.dim))
 
 
 def mat_star(M: SquareMatrix) -> SquareMatrix:
@@ -173,26 +184,26 @@ def mat_star(M: SquareMatrix) -> SquareMatrix:
 
 def mat_omega(M: SquareMatrix) -> tuple:
     """Supremum over all infinite runs from each state."""
-    return _solve(M, [M.algebra.vzero] * M.dim, True, range(M.dim))
+    return _solve(M.algebra, M.dim, _entries(M), [M.algebra.vzero] * M.dim, True, range(M.dim))
 
 
 def mat_omega_k(M: SquareMatrix, k: int) -> tuple:
     """Omega restricted to runs hitting the first k states infinitely often."""
     if not 0 <= k <= M.dim:
         raise BadAcceptingCount(f"k={k} out of range for dimension {M.dim}")
-    return mat_omega(flagged(M, [j < k for j in range(M.dim)]))
+    alg, edges = flagged(M.algebra, _entries(M), [j < k for j in range(M.dim)])
+    return _solve(alg, M.dim, edges, [alg.vzero] * M.dim, True, range(M.dim))
 
 
-def flagged(M: SquareMatrix, flags: Sequence[bool]) -> SquareMatrix:
-    """M over pairs (x, y): x joins the walks, y those entering a flagged
-    column, so (M_ij, M_ij) into one and (M_ij, 0) elsewhere.  Pairs
-    multiply as (x1 x2, y1 x2 + x1 y2) and act by x; (x, y)* is
-    (x*, x* y x*) and (x, y)^w is (x* y)^w.  So ``mat_omega`` counts the
-    runs entering a flagged state infinitely often, in any state order:
+def flagged(alg: StarAlgebra, edges: Iterable[tuple], flags: Sequence[bool]) -> tuple:
+    """The pair algebra, and ``edges`` (i, j, x) over pairs: x joins the walks,
+    y those entering a flagged column, so (x, x) into one, else (x, 0).  Pairs
+    multiply as (x1 x2, y1 x2 + x1 y2) and act by x; (x, y)* is (x*, x* y x*)
+    and (x, y)^w is (x* y)^w.  So the omega solve over the flagged edges counts
+    the runs entering a flagged state infinitely often, in any state order:
     ``wordmodel._extend``'s (reach, flag) profile over any star algebra.
     As y <= x, a product with a factor whose y is its x has y = x."""
-    alg, zero = M.algebra, M.algebra.zero
-    join, star, zeros = functools.cache(alg.join), functools.cache(alg.star), (zero, zero)
+    zero, join, star = alg.zero, functools.cache(alg.join), functools.cache(alg.star)
     mul = functools.cache(lambda x, y: zero if x is zero or y is zero else alg.mul(x, y))
 
     def pair_mul(a, b):
@@ -203,12 +214,11 @@ def flagged(M: SquareMatrix, flags: Sequence[bool]) -> SquareMatrix:
         alg,
         join=lambda a, b: (join(a[0], b[0]), join(a[1], b[1])),
         mul=pair_mul,
-        zero=zeros,
+        zero=(zero, zero),
         one=(alg.one, zero),
         star=lambda a: (star(a[0]), mul(mul(star(a[0]), a[1]), star(a[0]))),
         equal=lambda a, b: alg.equal(a[0], b[0]) and alg.equal(a[1], b[1]),
         act=lambda a, v: alg.act(a[0], v),
         omega=lambda a: alg.omega(mul(star(a[0]), a[1])),
     )
-    return matrix(pairs, [[zeros if x is zero else (x, x if f else zero) for x, f in zip(r, flags)]
-                          for r in M.rows])
+    return pairs, [(i, j, (x, x if flags[j] else zero)) for i, j, x in edges]

@@ -1,5 +1,7 @@
 """Shared fixtures and small builders for the test suite."""
 
+import contextlib
+import dataclasses
 import functools
 import importlib.util
 import os
@@ -8,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from energyomega import energyfn
+from energyomega import energyfn, matrixkleene as mk
 from energyomega.extlat import finite
 
 
@@ -34,6 +36,28 @@ def plus_two():
 
 def F(q):
     return finite(Fraction(q))
+
+
+def edge_matrix(aut):
+    """The automaton's matrix over ``ENERGY_ALGEBRA``, built from its live
+    edges, for the references that read a ``SquareMatrix``."""
+    rows = [[energyfn.CONST_BOTTOM] * aut.dim for _ in range(aut.dim)]
+    for i, j, fn in aut.edges:
+        rows[i][j] = fn
+    return mk.matrix(mk.ENERGY_ALGEBRA, rows)
+
+
+@contextlib.contextmanager
+def energy_algebra(**ops):
+    """``matrixkleene.ENERGY_ALGEBRA`` swapped, while the block runs, for a
+    copy with ``ops`` replaced, as the benchmark tracer swaps it; the
+    queries read it when they are called."""
+    saved = mk.ENERGY_ALGEBRA
+    mk.ENERGY_ALGEBRA = dataclasses.replace(saved, **ops)
+    try:
+        yield
+    finally:
+        mk.ENERGY_ALGEBRA = saved
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

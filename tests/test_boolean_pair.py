@@ -6,10 +6,12 @@ The Boolean pair is the smallest *-continuous Kleene omega-algebra:
 
 - ``mat_star``: j is reachable from i;
 - ``mat_omega``: an infinite walk starts at i;
-- ``mat_omega(flagged(M, flags))``: a walk from i visits a flagged state
-  infinitely often;
-- ``_solve(M, c, omega, keep)``: i reaches a state where c holds, or,
-  under omega, starts an infinite walk.
+- ``omega_flagged(M, flags)``, the omega solve over ``flagged``'s pair
+  algebra and edges: a walk from i visits a flagged state infinitely
+  often;
+- ``solve_entries(M, c, omega, keep)``, ``_solve`` over the non-zero
+  entries of M: i reaches a state where c holds, or, under omega,
+  starts an infinite walk.
 
 Every matrix and flag set with n <= 3 is checked, with the flags also
 as c, and ``_solve`` runs with every ``keep`` set.  These instances are
@@ -39,6 +41,17 @@ BOOL = mk.StarAlgebra(
     vzero=False,
     omega=lambda x: x,
 )
+
+
+def solve_entries(M, c, omega, keep):
+    """``mk._solve`` over the entries of M that are not ``zero`` itself."""
+    return mk._solve(M.algebra, M.dim, mk._entries(M), c, omega, keep)
+
+
+def omega_flagged(M, flags):
+    """The omega solve over ``flagged``'s pair algebra and edges."""
+    alg, edges = mk.flagged(M.algebra, mk._entries(M), flags)
+    return mk._solve(alg, M.dim, edges, [alg.vzero] * M.dim, True, range(M.dim))
 
 
 def _reach(rows):
@@ -72,14 +85,14 @@ def _check(rows, flag_sets, keeps):
     ), rows
     for flags in flag_sets:
         marked = {j for j in range(n) if flags[j]}
-        assert mk.mat_omega(mk.flagged(M, flags)) == tuple(
+        assert omega_flagged(M, flags) == tuple(
             bool(reach[i] & cyclic & marked) for i in range(n)
         ), (rows, flags)
         # flags double as the constant vector c
         hits = [bool(reach[i] & marked) for i in range(n)]
         for keep in keeps:
-            assert mk._solve(M, flags, False, keep) == tuple(hits[p] for p in keep), (rows, flags, keep)
-            assert mk._solve(M, flags, True, keep) == tuple(
+            assert solve_entries(M, flags, False, keep) == tuple(hits[p] for p in keep), (rows, flags, keep)
+            assert solve_entries(M, flags, True, keep) == tuple(
                 hits[p] or infinite[p] for p in keep
             ), (rows, flags, keep)
 

@@ -1,9 +1,9 @@
 """Tests for energy automata and their brute-force oracles."""
 
-import dataclasses
 import functools
 import pathlib
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +17,7 @@ from energyomega.extlat import BOTTOM, TOP, finite
 from energyomega.omegaval import NEVER, apply, from_threshold
 
 from blockref import block_omega_k, block_star
-from conftest import F, fn_pieces, perfbench
+from conftest import F, edge_matrix, energy_algebra, fn_pieces, perfbench
 
 PUMP_JSON = str(pathlib.Path(__file__).parent / "golden" / "pump.json")
 
@@ -47,7 +47,14 @@ def single(loop=None, accepting=True):
 
 
 def _edge(aut, a, b):
-    return aut.matrix.rows[aut.states.index(a)][aut.states.index(b)]
+    i, j = aut.states.index(a), aut.states.index(b)
+    return next((fn for src, dst, fn in aut.edges if (src, dst) == (i, j)), CONST_BOTTOM)
+
+
+def _relabeled(aut, perm):
+    """``aut`` with its states listed in the order ``perm``."""
+    edges = [(aut.states[i], aut.states[j], fn) for i, j, fn in aut.edges]
+    return ea.automaton([aut.states[i] for i in perm], aut.initial, aut.accepting, edges)
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +299,7 @@ def test_buchi_witness_cycle_sustains_on_criterion_4_corpus():
             loop = cycle + cycle[:1]
             assert cycle[0] == prefix[-1]
             assert all(not _edge(aut, a, b).is_const_bottom for a, b in zip(loop, loop[1:]))
-            z = finite(ea._top_probe(aut, aut.edges)) if res.value.is_top else res.value
+            z = finite(ea._top_probe(aut)) if res.value.is_top else res.value
             assert _replay(aut, loop, z) >= z, (str(aut), x, res.witness)
             yes += 1
     assert yes > 1500
@@ -456,7 +463,8 @@ def test_queries_match_block_reference_large_n():
     for n in range(6, 13):
         for _ in range(2):
             aut = _sparse_ring(rng, n)
-            star = block_star(aut.matrix)
+            M = edge_matrix(aut)
+            star = block_star(M)
             want = CONST_BOTTOM
             for i, src in enumerate(aut.states):
                 for j, dst in enumerate(aut.states):
@@ -467,7 +475,7 @@ def test_queries_match_block_reference_large_n():
             # block_omega_k reads its first k states as the accepting ones
             order = [i for i, s in enumerate(aut.states) if s in aut.accepting]
             order += [i for i, s in enumerate(aut.states) if s not in aut.accepting]
-            rows = [[aut.matrix.rows[i][j] for j in order] for i in order]
+            rows = [[M.rows[i][j] for j in order] for i in order]
             stacked = block_omega_k(mk.matrix(mk.ENERGY_ALGEBRA, rows), len(aut.accepting))
             want = NEVER
             for entry, i in zip(stacked, order):
@@ -485,9 +493,10 @@ def test_truncated_solve_matches_full_vector():
     for _ in range(60):
         n = rng.randint(1, 5)
         aut = _random_automaton(rng, n)
-        alg, rows = aut.matrix.algebra, aut.matrix.rows
+        M = edge_matrix(aut)
+        alg, rows = M.algebra, M.rows
         zeta = [alg.one if s in aut.accepting else alg.zero for s in aut.states]
-        column = mk.mat_star_vec(aut.matrix, tuple(zeta))
+        column = mk.mat_star_vec(M, tuple(zeta))
         # the block reference reads its first k states as the accepting ones
         order = sorted(range(n), key=lambda i: aut.states[i] not in aut.accepting)
         permuted = mk.matrix(alg, [[rows[i][j] for j in order] for i in order])
@@ -521,16 +530,16 @@ def test_buchi_solve_scales_like_reach():
     aut = ea.automaton(range(n), [0], range(0, n, 4), edges)
     composes = Counter()
 
-    def counted(query):
+    def counted(query, value):
         def mul(f, g):
             composes[query] += 1
             return energyfn.compose(f, g)
 
-        alg = dataclasses.replace(mk.ENERGY_ALGEBRA, mul=mul)
-        return aut._replace(matrix=mk.matrix(alg, aut.matrix.rows))
+        with energy_algebra(mul=mul):
+            return value(aut)
 
-    assert ea.reach_value(counted("reach")) == ea.reach_value(aut)
-    assert ea.buchi_value(counted("buchi")) == ea.buchi_value(aut)
+    assert counted("reach", ea.reach_value) == ea.reach_value(aut)
+    assert counted("buchi", ea.buchi_value) == ea.buchi_value(aut)
     assert composes["buchi"] <= 3 * composes["reach"], composes
 
 
@@ -579,9 +588,52 @@ def test_verify_on_the_benchmark_ring_at_n_128():
     for x, want in ((finite(0), False), (finite(1000), True)):
         assert ea.reachable(aut, x, verify=True).answer is want
         assert ea.buchi(aut, x, verify=True).answer is want
-    entries = [(i, j, f) for i, row in enumerate(aut.matrix.rows) for j, f in enumerate(row)]
-    assert list(aut.edges) == [e for e in entries if not e[2].is_const_bottom]
+    pairs = [(i, j) for i, j, _ in aut.edges]
+    assert pairs == sorted(set(pairs)) and not any(f.is_const_bottom for _, _, f in aut.edges)
     assert len(aut.edges) == 3 * 128
+    assert ea.from_json(ea.to_json(aut)) == aut
+
+
+def test_the_largest_admitted_ring_parses_and_solves_in_little_memory():
+    # the automaton holds its 3 n live edges, not an n x n matrix, and the
+    # Buchi solve over them fills in little on the ring: a dense matrix of
+    # n^2 = 2^20 entries would take 8 MiB for its row pointers alone
+    doc = perfbench("gen").ring(ea.MAX_STATES, random.Random(5))
+    tracemalloc.start()
+    try:
+        aut = ea.from_json(doc)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ea.buchi_value(aut)
+        buchi_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parse_peak < 4 * 2**20, parse_peak
+    assert buchi_peak < 10 * 2**20, buchi_peak
+
+
+def test_json_edges_are_live_joined_and_in_order():
+    # an explicit constant-bottom edge is dropped, parallel edges are
+    # joined into one, and the edges come in (i, j) order, not input order
+    bottom = {"bottom": {"boundary": "inf"}}
+    assert energyfn.from_json(bottom) is CONST_BOTTOM
+    named = [("b", "a", shift(1)), ("a", "b", shift(-1)), ("b", "b", shift(-2)), ("a", "b", shift(2))]
+    edges = [{"from": a, "to": b, "fn": energyfn.to_json(f)} for a, b, f in named]
+    edges.insert(2, {"from": "a", "to": "a", "fn": bottom})
+    obj = {"states": ["a", "b"], "initial": ["a"], "accepting": ["b"], "edges": edges}
+    aut = ea.from_json(obj)
+    assert aut.edges == (
+        (0, 1, energyfn.join(shift(-1), shift(2))), (1, 0, shift(1)), (1, 1, shift(-2))
+    )
+    assert ea.to_json(aut)["edges"] == [
+        {"from": "a", "to": "b", "fn": energyfn.to_json(energyfn.join(shift(-1), shift(2)))},
+        {"from": "b", "to": "a", "fn": energyfn.to_json(shift(1))},
+        {"from": "b", "to": "b", "fn": energyfn.to_json(shift(-2))},
+    ]
+    assert ea.from_json(ea.to_json(aut)) == aut
+    # the same through the builder, and a parallel edge that is all bottom
+    both = [("a", "a", CONST_BOTTOM), ("a", "a", CONST_BOTTOM)]
+    assert ea.automaton(["a", "b"], ["a"], ["b"], both).edges == ()
 
 
 def test_metamorphic_relations_on_the_benchmark_families_at_n_64():
@@ -620,15 +672,7 @@ def test_permutation_invariance():
         aut = _random_automaton(rng, n)
         perm = list(range(n))
         rng.shuffle(perm)
-        rows = [
-            [aut.matrix.rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)
-        ]
-        relabeled = ea.EnergyAutomaton(
-            tuple(aut.states[i] for i in perm),
-            aut.initial,
-            aut.accepting,
-            mk.matrix(mk.ENERGY_ALGEBRA, rows),
-        )
+        relabeled = _relabeled(aut, perm)
         for x in _energies(rng, 3):
             assert ea.reachable(aut, x).answer == ea.reachable(relabeled, x).answer
             assert ea.buchi(aut, x).answer == ea.buchi(relabeled, x).answer
@@ -643,9 +687,7 @@ def test_query_values_do_not_depend_on_the_state_order():
         n = aut.dim
         perm = list(range(n))
         rng.shuffle(perm)
-        rows = [[aut.matrix.rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        relabeled = ea.EnergyAutomaton(tuple(aut.states[i] for i in perm), aut.initial,
-                                       aut.accepting, mk.matrix(mk.ENERGY_ALGEBRA, rows))
+        relabeled = _relabeled(aut, perm)
         assert ea.reach_value(relabeled) == ea.reach_value(aut)
         assert ea.buchi_value(relabeled) == ea.buchi_value(aut)
 

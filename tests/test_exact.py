@@ -64,7 +64,7 @@ def test_no_float_enters(draw_seed):
         energyfn.from_json(energyfn.to_json(f)), c, join(f, g), star(f),
         omegaval.act(f, v), omegaval.omega(f),
         ea.reach_value(aut), ea.buchi_value(aut),
-        *(fn for row in ea.from_json(ea.to_json(aut)).matrix.rows for fn in row),
+        *(fn for _, _, fn in ea.from_json(ea.to_json(aut)).edges),
     )
     grid = [0] + [q + 1 for q in f.structure_points() + c.structure_points()]
     _assert_exact(*(h.eval(finite(q)) for h in (f, c) for q in grid))
@@ -115,11 +115,11 @@ def test_top_probe_is_exact_for_an_integer_slope():
     # least last-piece slope 2 gives kappa = 2 / (2 - 1); Z = 1 + 3
     doubling = fn_pieces(0, [(0, 0, 1), (3, 3, 2)])
     aut = ea.automaton(["a", "b"], ["a"], ["a"], [("a", "b", doubling), ("b", "a", shift(-1))])
-    z = ea._top_probe(aut, aut.edges)
+    z = ea._top_probe(aut)
     assert z == 2 * 2 * 4 * 2 and type(z) is int
     # slope 3/2 gives kappa = 3, a Fraction quotient that is integral
     aut = ea.automaton(["a"], ["a"], ["a"], [("a", "a", fn_pieces(0, [(0, 0, Fraction(3, 2))]))])
-    z = ea._top_probe(aut, aut.edges)
+    z = ea._top_probe(aut)
     assert z == 2 * 1 * 1 * 3 and type(z) is int
 
 
@@ -165,8 +165,7 @@ def test_int_and_fraction_integers_give_the_same_results(draw_seed):
     for pick in (lambda: True, lambda: rng.random() < 0.5):
         edges = [
             (aut.states[i], aut.states[j], _as_fractions(fn) if pick() else fn)
-            for i, row in enumerate(aut.matrix.rows) for j, fn in enumerate(row)
-            if not fn.is_const_bottom
+            for i, j, fn in aut.edges
         ]
         other = ea.automaton(aut.states, aut.initial, aut.accepting, edges)
         _same(ea.reach_value(other), ea.reach_value(aut))

@@ -25,8 +25,8 @@ from blockref import (
     mat_vec_act,
     mat_zero,
 )
-from conftest import F, perfbench
-from test_boolean_pair import BOOL
+from conftest import F, energy_algebra, perfbench
+from test_boolean_pair import BOOL, omega_flagged, solve_entries
 
 ALG = mk.ENERGY_ALGEBRA
 
@@ -184,20 +184,21 @@ def test_solve_computes_each_operand_pair_once():
     # reads only v at it, which the last elimination step yields: no
     # back-substitution product follows
     column = mk.mat_star_vec(mk.matrix(ALG, rows), tuple(zeta))
+    triples = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)]
     for initial in (0, n // 2, n - 1):
+        aut = energyauto.automaton(range(n), [initial], [0], triples)
         calls.clear()
         products.clear()
-        aut = energyauto.EnergyAutomaton(
-            tuple(range(n)), frozenset({initial}), frozenset({0}), mk.matrix(alg, rows)
-        )
-        value = energyauto.reach_value(aut)
+        with energy_algebra(mul=alg.mul, join=alg.join):
+            value = energyauto.reach_value(aut)
         assert max(calls.values()) == 1 and products[-1] == value
         assert value == column[initial]
 
 
 def test_energy_algebra_is_built_once_and_read_at_call_time(monkeypatch):
     # the benchmark tracer swaps in a copy with wrapped operations, and
-    # energyauto.automaton reads mk.ENERGY_ALGEBRA when it is called
+    # the queries read mk.ENERGY_ALGEBRA when they are called, not when
+    # the automaton is built
     assert mk.ENERGY_ALGEBRA is mk.ENERGY_ALGEBRA
     assert getattr(mk, "no_such_name", None) is None
     calls = []
@@ -206,16 +207,16 @@ def test_energy_algebra_is_built_once_and_read_at_call_time(monkeypatch):
         calls.append((f, g))
         return energyfn.compose(f, g)
 
-    def build():
-        return energyauto.automaton(range(2), [0], [1], [(0, 1, shift(2)), (1, 1, shift(-1))])
-
-    want = energyauto.reach_value(build())
+    aut = energyauto.automaton(range(2), [0], [1], [(0, 1, shift(2)), (1, 1, shift(-1))])
+    want = energyauto.reach_value(aut), energyauto.buchi_value(aut)
     swapped = dataclasses.replace(mk.ENERGY_ALGEBRA, mul=counting_mul)
     monkeypatch.setattr(mk, "ENERGY_ALGEBRA", swapped)
-    aut = build()
-    assert aut.matrix.algebra is swapped and not calls
-    assert energyauto.reach_value(aut) == want
-    assert calls
+    assert not calls
+    assert energyauto.reach_value(aut) == want[0]
+    reach_calls = len(calls)
+    assert reach_calls
+    assert energyauto.buchi_value(aut) == want[1]
+    assert len(calls) > reach_calls
 
 
 class Bit:
@@ -263,11 +264,11 @@ def test_the_solve_tells_zero_by_identity_alone():
         runs = [
             lambda A, c: mk.mat_star_vec(A, c),
             lambda A, c: mk.mat_omega(A),
-            lambda A, c, flags=c: mk.mat_omega(mk.flagged(A, flags)),
+            lambda A, c, flags=c: omega_flagged(A, flags),
         ]
         for keep in ([n - 1, 0], [1], range(n)):
             for omega in (False, True):
-                runs.append(lambda A, c, omega=omega, keep=keep: mk._solve(A, c, omega, keep))
+                runs.append(lambda A, c, omega=omega, keep=keep: solve_entries(A, c, omega, keep))
         for run in runs:
             want, got = run(B, c), run(M, [bit[x] for x in c])
             assert [x.value for x in got] == list(want)
@@ -359,14 +360,19 @@ def test_mat_star_vec_is_star_times_vector():
 # independent oracles
 
 
+def _automaton(m, initial, accepting):
+    """The automaton on states q0 .. q(n-1) whose matrix is m."""
+    states = [f"q{k}" for k in range(m.dim)]
+    edges = [(states[a], states[b], f) for a, row in enumerate(m.rows) for b, f in enumerate(row)]
+    return energyauto.automaton(
+        states, [states[k] for k in initial], [states[k] for k in accepting], edges
+    )
+
+
 def path_sup(m, i, j, x):
     """Supremum of path evaluations i -> j: the relaxation oracle's best
     energy at q_j from q_i, which only evaluates the entries of m."""
-    states = tuple(f"q{k}" for k in range(m.dim))
-    aut = energyauto.EnergyAutomaton(
-        states, frozenset([states[i]]), frozenset([states[j]]), m
-    )
-    return energyauto.oracle_reach(aut, x).value
+    return energyauto.oracle_reach(_automaton(m, [i], [j]), x).value
 
 
 def test_mat_star_against_path_sup():
@@ -396,11 +402,8 @@ def test_mat_omega_against_run_search():
             [[energylaws.random_energy_function(rng) for _ in range(n)] for _ in range(n)]
         )
         w = mk.mat_omega(m)
-        states = [f"q{k}" for k in range(n)]
         for i in range(n):
-            aut = energyauto.EnergyAutomaton(
-                tuple(states), frozenset([states[i]]), frozenset(states), m
-            )
+            aut = _automaton(m, [i], range(n))
             for q in (0, 2, 5):
                 x = finite(q)
                 assert apply(w[i], x) == energyauto.oracle_buchi(aut, x).answer

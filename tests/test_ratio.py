@@ -7,7 +7,6 @@ would run every later operation through ``numbers``' ABC checks.
 """
 
 import copy
-import dataclasses
 import operator
 import pickle
 import random
@@ -19,7 +18,7 @@ from hypothesis import given, seed, settings, strategies as st
 from energyomega import energyauto as ea, energyfn, energylaws, matrixkleene as mk, omegaval
 from energyomega.extlat import Ratio, div, exact, finite, parse_ext, ratio
 
-from conftest import perfbench
+from conftest import energy_algebra, perfbench
 from test_exact import _rationals
 
 _ints = st.integers(-10**6, 10**6) | st.integers(-10**30, 10**30)
@@ -103,10 +102,10 @@ def test_zero_divisors_raise():
             div(n, 0)
 
 
-def _recording(aut, seen):
-    """``aut`` over a copy of its algebra that adds every operand and result
-    of its operations to ``seen``."""
-    alg = aut.matrix.algebra
+def _recording(seen):
+    """``ENERGY_ALGEBRA`` swapped, while the block runs, for a copy that adds
+    every operand and result of its operations to ``seen``."""
+    alg = mk.ENERGY_ALGEBRA
 
     def recorder(name):
         def record(*args):
@@ -116,16 +115,15 @@ def _recording(aut, seen):
         return record
 
     ops = ("mul", "join", "star", "omega", "act", "vjoin")
-    wrapped = dataclasses.replace(alg, **{name: recorder(name) for name in ops})
-    return aut._replace(matrix=mk.matrix(wrapped, aut.matrix.rows))
+    return energy_algebra(**{name: recorder(name) for name in ops})
 
 
 def test_the_solve_sees_only_ints_and_ratios():
     # the seed-5 mixed benchmark family has slopes 3/2, so Fractions reach the parser
     aut = ea.from_json(perfbench("gen").mixed(32, random.Random(5)))
-    seen = [fn for row in aut.matrix.rows for fn in row]
-    recorded = _recording(aut, seen)
-    seen += [ea.reach_value(recorded), ea.buchi_value(recorded)]
+    seen = [fn for _, _, fn in aut.edges]
+    with _recording(seen):
+        seen += [ea.reach_value(aut), ea.buchi_value(aut)]
     rationals = [q for x in seen for q in _rationals(x)]
     assert any(type(q) is Ratio for q in rationals)
     leaked = {type(q).__name__ for q in rationals} - {"int", "Ratio"}
